@@ -1,10 +1,10 @@
 package experiments
 
-// Engine determinism at the experiment level: the serial and parallel
+// Engine determinism at the experiment level: the serial and optimistic
 // simulation engines must produce byte-identical rendered reports and
 // hex-float-identical series for the multisite experiment (single-site
 // baseline, 3-site federations, 6-site federation) and for the
-// single-site paper experiments (where the parallel engine falls back
+// single-site paper experiments (where the optimistic engine falls back
 // to the serial kernel). CI runs this under -race.
 
 import (
@@ -55,7 +55,7 @@ func runEngine(t *testing.T, id, engine string) (rendered, series string) {
 }
 
 // TestMultiSiteEnginesBitIdentical is the determinism contract of the
-// partitioned engine on the experiment that exercises it: fed1 (serial
+// optimistic engine on the experiment that exercises it: fed1 (serial
 // fallback), the three 3-site federations, and the 6-site federation,
 // across all three rescheduling policies.
 func TestMultiSiteEnginesBitIdentical(t *testing.T) {
@@ -63,19 +63,19 @@ func TestMultiSiteEnginesBitIdentical(t *testing.T) {
 		t.Skip("full experiment run")
 	}
 	serialOut, serialSeries := runEngine(t, "multisite", sim.EngineSerial)
-	parOut, parSeries := runEngine(t, "multisite", sim.EngineParallel)
-	if serialOut != parOut {
+	optOut, optSeries := runEngine(t, "multisite", sim.EngineOptimistic)
+	if serialOut != optOut {
 		t.Errorf("multisite rendered reports differ between engines:\n%s",
-			diffHead(serialOut, parOut))
+			diffHead(serialOut, optOut))
 	}
-	if serialSeries != parSeries {
+	if serialSeries != optSeries {
 		t.Errorf("multisite series differ between engines:\n%s",
-			diffHead(serialSeries, parSeries))
+			diffHead(serialSeries, optSeries))
 	}
 }
 
 // TestSingleSiteEnginesBitIdentical pins the fallback contract on every
-// registered single-site experiment: Engine=parallel must change
+// registered single-site experiment: Engine=optimistic must change
 // nothing at all.
 func TestSingleSiteEnginesBitIdentical(t *testing.T) {
 	if testing.Short() {
@@ -88,14 +88,14 @@ func TestSingleSiteEnginesBitIdentical(t *testing.T) {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			serialOut, serialSeries := runEngine(t, id, sim.EngineSerial)
-			parOut, parSeries := runEngine(t, id, sim.EngineParallel)
-			if serialOut != parOut {
+			optOut, optSeries := runEngine(t, id, sim.EngineOptimistic)
+			if serialOut != optOut {
 				t.Errorf("rendered reports differ between engines:\n%s",
-					diffHead(serialOut, parOut))
+					diffHead(serialOut, optOut))
 			}
-			if serialSeries != parSeries {
+			if serialSeries != optSeries {
 				t.Errorf("series differ between engines:\n%s",
-					diffHead(serialSeries, parSeries))
+					diffHead(serialSeries, optSeries))
 			}
 		})
 	}
@@ -110,14 +110,14 @@ func TestFaultsEnginesBitIdentical(t *testing.T) {
 		t.Skip("full experiment run")
 	}
 	serialOut, serialSeries := runEngine(t, "faults", sim.EngineSerial)
-	parOut, parSeries := runEngine(t, "faults", sim.EngineParallel)
-	if serialOut != parOut {
+	optOut, optSeries := runEngine(t, "faults", sim.EngineOptimistic)
+	if serialOut != optOut {
 		t.Errorf("faults rendered reports differ between engines:\n%s",
-			diffHead(serialOut, parOut))
+			diffHead(serialOut, optOut))
 	}
-	if serialSeries != parSeries {
+	if serialSeries != optSeries {
 		t.Errorf("faults series differ between engines:\n%s",
-			diffHead(serialSeries, parSeries))
+			diffHead(serialSeries, optSeries))
 	}
 }
 
@@ -137,7 +137,7 @@ func diffHead(a, b string) string {
 		if x == y {
 			continue
 		}
-		fmt.Fprintf(&sb, "line %d:\n  serial:   %.160s\n  parallel: %.160s\n", i+1, x, y)
+		fmt.Fprintf(&sb, "line %d:\n  serial:     %.160s\n  optimistic: %.160s\n", i+1, x, y)
 		if shown++; shown >= 4 {
 			sb.WriteString("  ...\n")
 			break

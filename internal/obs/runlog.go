@@ -7,7 +7,7 @@ import (
 )
 
 // A Progress report is emitted by an engine from its cheap sync
-// points (the serial ctx-poll stride, round barriers, commit passes)
+// points (the serial ctx-poll stride, optimistic commit passes)
 // while a run is in flight. Fields describe the execution so far, not
 // the final result.
 type Progress struct {

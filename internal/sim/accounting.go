@@ -24,11 +24,11 @@ import (
 //     (global utilization, suspended, waiting, plus per-site
 //     utilization on multi-site platforms), reproducing the
 //     monolithic engine's output bit for bit.
-//   - raw (parallel): ticks are logged as raw integer counters per
+//   - raw (optimistic): ticks are logged as raw integer counters per
 //     shard. The merge step recombines the per-site logs into the
 //     global series with exactly the serial mode's float operations,
 //     truncating at the final completion the way the serial loop's
-//     death does — see mergeSeries in parallel.go.
+//     death does — see mergeSeries in optimistic.go.
 type accounting struct {
 	sh *shard
 
@@ -40,7 +40,7 @@ type accounting struct {
 	utilTS, suspTS, waitTS *stats.TimeSeries
 	siteTS                 []*stats.TimeSeries
 
-	// Raw per-tick logs (parallel shards). Values are scope totals —
+	// Raw per-tick logs (optimistic shards). Values are scope totals —
 	// with one site per shard, the site's totals.
 	raw     bool
 	rawBusy []int32
@@ -73,7 +73,7 @@ func newAccounting(sh *shard, raw bool) *accounting {
 
 // register installs the accounting state codec: the next-tick cursor
 // plus the accumulated sinks — binned TimeSeries state in serial mode,
-// the raw per-tick counter logs in parallel mode. Restoring them lets
+// the raw per-tick log length in optimistic mode. Restoring them lets
 // the integrator continue mid-signal with float operations identical
 // to a never-interrupted run.
 func (a *accounting) register(k *kernel) {
@@ -87,13 +87,9 @@ func (a *accounting) register(k *kernel) {
 			e.Int(len(a.rawBusy))
 			return
 		}
-		e.Bool(a.raw)
-		if a.raw {
-			e.I32s(a.rawBusy)
-			e.I32s(a.rawSusp)
-			e.I32s(a.rawWait)
-			return
-		}
+		// The serial-mode flag: raw shards always save in light mode
+		// above, so full snapshots only ever carry serial sinks.
+		e.Bool(false)
 		encodeTS(e, a.utilTS)
 		encodeTS(e, a.suspTS)
 		encodeTS(e, a.waitTS)
@@ -114,14 +110,8 @@ func (a *accounting) register(k *kernel) {
 			a.rawWait = a.rawWait[:n]
 			return d.err
 		}
-		if raw := d.Bool(); d.err == nil && raw != a.raw {
+		if raw := d.Bool(); d.err == nil && raw {
 			d.fail()
-			return d.err
-		}
-		if a.raw {
-			a.rawBusy = d.I32sN(-1)
-			a.rawSusp = d.I32sN(-1)
-			a.rawWait = d.I32sN(-1)
 			return d.err
 		}
 		bin := a.sh.w.cfg.SeriesBin
@@ -183,10 +173,10 @@ func (a *accounting) advanceTo(now float64) {
 	}
 }
 
-// flushTo records pending ticks up to (but excluding) limit. Parallel
-// shards call it at each round barrier with the round horizon: no
-// event below the horizon can ever arrive afterwards, so the shard's
-// counters at those ticks are final.
+// flushTo records pending ticks up to (but excluding) limit. Optimistic
+// shards call it with the makespan once the run has ended: no event
+// below it can ever arrive afterwards, so the shard's counters at those
+// ticks are final.
 func (a *accounting) flushTo(limit float64) {
 	a.advanceTo(limit)
 }

@@ -5,12 +5,18 @@ package sim
 // boundary must produce exactly the observables of a never-interrupted
 // run — hex-float-exact job records, series, counters and event counts
 // — across random federations, both engines, and zero and nonzero
-// fault regimes. Checkpointing itself must be a pure read: a run that
-// emits checkpoints must match a run that doesn't. Mismatched or
-// corrupted snapshots must be rejected before any state is touched.
+// fault regimes. Checkpointed runs execute on the serial kernel
+// whichever engine is selected, so an optimistic run must emit exactly
+// the serial run's snapshot bytes. Checkpointing itself must be a pure
+// read: a run that emits checkpoints must match a run that doesn't.
+// Mismatched or corrupted snapshots must be rejected before any state
+// is touched.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -73,7 +79,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			return true
 		}
 		if engPick%2 == 1 {
-			base.Engine = EngineParallel
+			base.Engine = EngineOptimistic
 		}
 
 		// Reference: the straight run with no checkpointing at all.
@@ -82,6 +88,13 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Logf("straight run: %v", err)
 			return false
+		}
+		if plainRes.ambiguousTies {
+			// The optimistic straight run hit a measure-zero tie, so its
+			// bit-identity with the serial kernel — which every
+			// checkpointed run uses — is void for this coordinate.
+			t.Logf("seed %d: ambiguous tie observed, skipping comparison", seed)
+			return true
 		}
 		fpPlain := fingerprint(plainRes)
 
@@ -97,6 +110,19 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		if fp := fingerprint(ckRes); fp != fpPlain {
 			t.Logf("seed %d: checkpointing perturbed the run:\n%s", seed, firstDiff(fpPlain, fp))
 			return false
+		}
+		if base.Engine == EngineOptimistic {
+			serialCfg, serialCks := collectCheckpoints(base, every)
+			serialCfg.Engine = EngineSerial
+			freshComponents(serialCfg, seed, polPick, selPick)
+			if _, err := Run(*serialCfg, specs); err != nil {
+				t.Logf("serial checkpointed run: %v", err)
+				return false
+			}
+			if !sameCheckpoints(*cks, *serialCks) {
+				t.Logf("seed %d: optimistic checkpoint stream differs from the serial one", seed)
+				return false
+			}
 		}
 		if len(*cks) == 0 {
 			return true // run shorter than one cadence interval
@@ -121,10 +147,6 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 					seed, resumed.Engine, idx, ck.Time, firstDiff(fpPlain, fp))
 				return false
 			}
-			if res.ambiguousTies != plainRes.ambiguousTies {
-				t.Logf("seed %d: ambiguous-tie flag diverged on resume", seed)
-				return false
-			}
 		}
 		return true
 	}, cfgQuick)
@@ -133,9 +155,37 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	}
 }
 
+// sameCheckpoints reports whether two checkpoint streams are identical:
+// same boundaries, same encodings byte for byte.
+func sameCheckpoints(a, b []Checkpoint) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Time != b[i].Time || a[i].Events != b[i].Events ||
+			a[i].Delta != b[i].Delta || !bytes.Equal(a[i].Data, b[i].Data) {
+			return false
+		}
+	}
+	return true
+}
+
+// withMode rewrites a snapshot's header engine mode and reseals the
+// CRC-32C trailer, so only the decoder's mode check can reject it.
+func withMode(data []byte, mode string) []byte {
+	const modeAt = 32 // after magic, version, config hash and kind hash
+	n := int(binary.LittleEndian.Uint64(data[modeAt:]))
+	out := append([]byte(nil), data[:modeAt]...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(mode)))
+	out = append(out, mode...)
+	out = append(out, data[modeAt+8+n:len(data)-8]...)
+	return binary.LittleEndian.AppendUint64(out, uint64(crc32.Checksum(out, castagnoli)))
+}
+
 // checkpointFixture runs one deterministic multi-site workload with
-// checkpointing and returns the config, specs and emitted checkpoints.
-func checkpointFixture(t *testing.T, parallel bool) (Config, []job.Spec, []Checkpoint) {
+// checkpointing on the given engine and returns the config, specs and
+// emitted checkpoints.
+func checkpointFixture(t *testing.T, engine string) (Config, []job.Spec, []Checkpoint) {
 	t.Helper()
 	r := rand.New(rand.NewPCG(404, 405))
 	plat, specs, err := randomFederation(r)
@@ -147,9 +197,7 @@ func checkpointFixture(t *testing.T, parallel bool) (Config, []job.Spec, []Check
 		Initial:           federatedInitial(sched.LatencyPenalizedUtil{}),
 		Policy:            core.NewResSusWaitRand(99),
 		CheckConservation: true,
-	}
-	if parallel {
-		base.Engine = EngineParallel
+		Engine:            engine,
 	}
 	ckCfg, cks := collectCheckpoints(base, 60)
 	if _, err := Run(*ckCfg, specs); err != nil {
@@ -162,7 +210,7 @@ func checkpointFixture(t *testing.T, parallel bool) (Config, []job.Spec, []Check
 }
 
 func TestSnapshotRejectsCorruptionAndMismatch(t *testing.T) {
-	base, specs, cks := checkpointFixture(t, false)
+	base, specs, cks := checkpointFixture(t, EngineSerial)
 	data := cks[len(cks)/2].Data
 
 	resume := func(cfg Config, data []byte) error {
@@ -214,19 +262,27 @@ func TestSnapshotRejectsCorruptionAndMismatch(t *testing.T) {
 		t.Errorf("workload mismatch: got %v, want ErrSnapshotMismatch", err)
 	}
 
-	// A serial snapshot must not resume under the parallel engine.
-	wrongEngine := base
-	wrongEngine.Engine = EngineParallel
-	if err := resume(wrongEngine, data); !errors.Is(err, ErrSnapshotMismatch) {
-		t.Errorf("engine-mode mismatch: got %v, want ErrSnapshotMismatch", err)
+	// Only the serial kernel writes snapshots: a header whose mode is
+	// anything else is rejected before the shard sections are read,
+	// even with a valid checksum.
+	if !bytes.Equal(withMode(data, EngineSerial), data) {
+		t.Fatal("withMode does not reproduce the original snapshot")
+	}
+	for _, mode := range []string{"parallel", EngineOptimistic, ""} {
+		if err := resume(base, withMode(data, mode)); !errors.Is(err, ErrSnapshotMismatch) {
+			t.Errorf("mode %q: got %v, want ErrSnapshotMismatch", mode, err)
+		}
+		if _, err := ReadSnapshotMeta(withMode(data, mode)); !errors.Is(err, ErrSnapshotMismatch) {
+			t.Errorf("mode %q metadata: got %v, want ErrSnapshotMismatch", mode, err)
+		}
 	}
 }
 
 func TestReplayBisectCleanInterval(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		base, specs, cks := checkpointFixture(t, parallel)
+	for _, engine := range []string{EngineSerial, EngineOptimistic} {
+		base, specs, cks := checkpointFixture(t, engine)
 		if len(cks) < 2 {
-			t.Fatalf("parallel=%v: need two checkpoints, got %d", parallel, len(cks))
+			t.Fatalf("%s: need two checkpoints, got %d", engine, len(cks))
 		}
 		from, to := cks[0], cks[len(cks)-1]
 		cfg := base
@@ -234,21 +290,21 @@ func TestReplayBisectCleanInterval(t *testing.T) {
 		cfg.Policy = core.NewResSusWaitRand(99)
 		rep, err := ReplayBisect(cfg, specs, from.Data, to.Data)
 		if err != nil {
-			t.Fatalf("parallel=%v: %v", parallel, err)
+			t.Fatalf("%s: %v", engine, err)
 		}
 		if !rep.Clean() {
-			t.Fatalf("parallel=%v: healthy interval reported dirty: deterministic=%v matchesRecorded=%v: %s",
-				parallel, rep.Deterministic, rep.MatchesRecorded, rep.FirstDivergence)
+			t.Fatalf("%s: healthy interval reported dirty: deterministic=%v matchesRecorded=%v: %s",
+				engine, rep.Deterministic, rep.MatchesRecorded, rep.FirstDivergence)
 		}
 		if rep.ReplayedEvents != to.Events-from.Events {
-			t.Fatalf("parallel=%v: replayed %d events, interval spans %d",
-				parallel, rep.ReplayedEvents, to.Events-from.Events)
+			t.Fatalf("%s: replayed %d events, interval spans %d",
+				engine, rep.ReplayedEvents, to.Events-from.Events)
 		}
 	}
 }
 
 func TestReplayBisectRejectsCrossConfigSnapshots(t *testing.T) {
-	baseA, specsA, cksA := checkpointFixture(t, false)
+	baseA, specsA, cksA := checkpointFixture(t, EngineSerial)
 	_, _, cksB := func() (Config, []job.Spec, []Checkpoint) {
 		r := rand.New(rand.NewPCG(505, 506))
 		plat, specs, err := randomFederation(r)

@@ -83,9 +83,10 @@ func TestDeltaCodecRoundTrip(t *testing.T) {
 }
 
 // deltaFixture runs one deterministic multi-site workload with a
-// keyframed checkpoint stream and returns the base config, specs, the
-// emitted checkpoints, and the straight-run fingerprint.
-func deltaFixture(t *testing.T, parallel bool) (Config, []job.Spec, []Checkpoint, string) {
+// keyframed checkpoint stream on the given engine and returns the base
+// config, specs, the emitted checkpoints, and the straight-run
+// fingerprint.
+func deltaFixture(t *testing.T, engine string) (Config, []job.Spec, []Checkpoint, string) {
 	t.Helper()
 	r := rand.New(rand.NewPCG(404, 405))
 	plat, specs, err := randomFederation(r)
@@ -97,9 +98,7 @@ func deltaFixture(t *testing.T, parallel bool) (Config, []job.Spec, []Checkpoint
 		Initial:           federatedInitial(sched.LatencyPenalizedUtil{}),
 		Policy:            core.NewResSusWaitRand(99),
 		CheckConservation: true,
-	}
-	if parallel {
-		base.Engine = EngineParallel
+		Engine:            engine,
 	}
 	plain := base
 	plain.Policy = core.NewResSusWaitRand(99)
@@ -147,18 +146,19 @@ func reconstructChain(t *testing.T, cks []Checkpoint) [][]byte {
 
 // TestDeltaSnapshotChain checks the keyframed stream end to end on both
 // engines: the emission pattern honors the keyframe cadence, deltas
-// shrink the stream, and resuming from a keyframe, from a
-// mid-chain delta, from the delta straight after a keyframe boundary,
-// and from the last checkpoint all reproduce the straight run
-// bit-identically.
+// shrink the stream, the optimistic engine (which checkpoints on the
+// serial kernel) emits the serial stream byte for byte, and resuming
+// from a keyframe, from a mid-chain delta, from the delta straight
+// after a keyframe boundary, and from the last checkpoint all reproduce
+// the straight run bit-identically.
 func TestDeltaSnapshotChain(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		name := "serial"
-		if parallel {
-			name = "parallel"
-		}
-		t.Run(name, func(t *testing.T) {
-			base, specs, cks, fpPlain := deltaFixture(t, parallel)
+	_, _, serialCks, _ := deltaFixture(t, EngineSerial)
+	for _, engine := range []string{EngineSerial, EngineOptimistic} {
+		t.Run(engine, func(t *testing.T) {
+			base, specs, cks, fpPlain := deltaFixture(t, engine)
+			if !sameCheckpoints(cks, serialCks) {
+				t.Fatal("checkpoint stream differs from the serial engine's")
+			}
 			deltas := 0
 			for i, ck := range cks {
 				wantFull := i%4 == 0
@@ -215,7 +215,7 @@ func TestDeltaSnapshotChain(t *testing.T) {
 // against the wrong base: every failure mode must be
 // ErrSnapshotMismatch and never a wrong reconstruction.
 func TestDeltaCorruptionRejected(t *testing.T) {
-	_, _, cks, _ := deltaFixture(t, false)
+	_, _, cks, _ := deltaFixture(t, EngineSerial)
 	di := -1
 	for i, ck := range cks {
 		if ck.Delta {

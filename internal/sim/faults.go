@@ -21,7 +21,7 @@ import (
 // scans wait queues, whose revived slots can reach jobs resident at
 // other sites. The alias-risk promotion that already protects finishes
 // and arrivals therefore covers faults with no new machinery, and the
-// serial ≡ parallel bit-identity contract extends to fault runs.
+// serial ≡ optimistic bit-identity contract extends to fault runs.
 //
 // Determinism: each site's stream is forked from FaultConfig.Seed with
 // stats.SplitKey, so it is independent of site count, engine, and
@@ -122,8 +122,8 @@ const (
 // downSpan is one machine's downtime interval in a site's fault log;
 // to stays +inf while the machine is down. Result counters derive from
 // the logs clamped to the makespan, so both engines compute identical
-// values even though the parallel engine's final round may process
-// repair events the serial loop never pops.
+// values even though the optimistic engine's shards may process
+// repair events past the makespan that the serial loop never pops.
 type downSpan struct {
 	from, to float64
 	cores    int
@@ -427,7 +427,7 @@ func (sh *shard) killAndRequeue(rt *jobRT, pool, site int) error {
 // finalizeFaults derives the engine-independent fault counters from
 // the per-site downtime logs, clamped to the makespan: the serial loop
 // dies at the final completion leaving open spans behind, while the
-// parallel engine's last round may process repairs past it — clamping
+// optimistic engine's shards may process repairs past it — clamping
 // makes both read identically. Crash/window events at or after the
 // makespan never count (the serial loop never popped them).
 func finalizeFaults(w *world, res *Result) {

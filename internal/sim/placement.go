@@ -370,20 +370,9 @@ func (sh *shard) handleSubmit(idx int) error {
 	if sh.siteOfPool(pool) != rt.spec.Site {
 		sh.res.CrossSiteSubmits++
 		if d := sh.w.plat.RTT(rt.spec.Site, sh.siteOfPool(pool)); d > 0 {
-			sh.send(sh.w.shardOf(pool), sh.k.now+d, sh.place.arrive, int64(idx), int64(pool))
+			sh.send(sh.siteOfPool(pool), sh.k.now+d, sh.place.arrive, int64(idx), int64(pool))
 			return nil
 		}
-	}
-	if owner := sh.ownerOf(pool); owner != sh {
-		// Sub-sharded hot site: the chosen pool belongs to a same-site
-		// sibling sub-shard (cross-site dispatch left through send above —
-		// the lookahead guarantees d > 0 there). The submission is a
-		// globally-serialized deciding event, so the sibling is quiescent;
-		// run the arrival on it inline as part of this event, exactly as
-		// the monolithic engine folds a local arrival into the submit.
-		sh.noteAway(idx)
-		owner.syncTo(sh.k.now, sh.k.phase)
-		return owner.arrival(idx, pool)
 	}
 	return sh.arrival(idx, pool)
 }
@@ -464,7 +453,7 @@ func (sh *shard) startOn(rt *jobRT, mid int) error {
 		return err
 	}
 	rem := rt.j.RemainingAt(sh.k.now)
-	rt.finish = sh.k.schedule(sh.k.now+rem, sh.place.finish, int64(rt.idx), 0)
+	rt.finish = sh.kernelAt(sh.siteOfPool(mach.m.Pool)).schedule(sh.k.now+rem, sh.place.finish, int64(rt.idx), 0)
 	p.pushRunning(rt)
 	mach.running = append(mach.running, rt)
 	sh.noteAttach(rt, mach.m.Pool)
@@ -503,7 +492,7 @@ func (sh *shard) preempt(rt *jobRT, victim *jobRT) error {
 	// at the next agent sweep, DecisionDelay later. If the victim has
 	// resumed (or been re-suspended and moved) by then, the stale event
 	// is ignored.
-	sh.k.schedule(sh.k.now+sh.w.cfg.DecisionDelay, sh.dyn.susDecide, int64(victim.idx), 0)
+	sh.kernelAt(sh.siteOfPool(mach.m.Pool)).schedule(sh.k.now+sh.w.cfg.DecisionDelay, sh.dyn.susDecide, int64(victim.idx), 0)
 
 	// The victim may have freed more cores than the preemptor needs.
 	return sh.onFree(mid)
@@ -517,7 +506,7 @@ func (sh *shard) enqueue(rt *jobRT, p *poolRT) {
 	rt.enqueuedAt = sh.k.now
 	sh.scopeWaiting++
 	if th := sh.w.cfg.Policy.WaitThreshold(); th > 0 {
-		rt.waitTO = sh.k.schedule(sh.k.now+th, sh.dyn.waitTimeout, int64(rt.idx), 0)
+		rt.waitTO = sh.kernelAt(sh.siteOfPool(p.pool.ID)).schedule(sh.k.now+th, sh.dyn.waitTimeout, int64(rt.idx), 0)
 	}
 }
 
@@ -570,23 +559,15 @@ func (sh *shard) onFree(mid int) error {
 		if useWaiting {
 			p.waitQ.remove(wrt)
 			// A revived slot may hand us a job whose last enqueue was at
-			// another partition (see waitQueue); dispatching it makes it
-			// resident here, exactly as the serial engine does. This
-			// branch only runs under global quiescence (alias risk
-			// promotes the event to deciding), so telling the queue's
-			// owning shard that the job left is safe. The dispatch also
-			// leaves the job's Pool label pointing at the other
-			// partition, opening every cross-partition hazard the
-			// alias-risk ledger guards against — the startOn below flags
-			// the job aliased (label partition != machine partition), and
+			// another site (see waitQueue), exactly as the serial engine
+			// does. This branch then runs under global quiescence (alias
+			// risk promotes the event to deciding). The dispatch leaves
+			// the job's Pool label pointing at the other site, opening
+			// every cross-site hazard the alias-risk ledger guards
+			// against: the startOn below flags the job aliased, moves
+			// its custody to the machine's site (shard.noteAttach), and
 			// all capacity handoffs serialize until the last such job
 			// detaches.
-			if sh.away != nil && sh.away[wrt.idx] {
-				if owner := sh.peers[sh.w.shardOf(wrt.j.Pool)]; owner != sh {
-					owner.noteAway(wrt.idx)
-				}
-			}
-			sh.noteResident(wrt.idx)
 			sh.scopeWaiting--
 			sh.k.cancel(wrt.waitTO)
 			if err := sh.startOn(wrt, mid); err != nil {
@@ -650,7 +631,7 @@ func (sh *shard) resume(rt *jobRT) error {
 		return err
 	}
 	rem := rt.j.RemainingAt(sh.k.now)
-	rt.finish = sh.k.schedule(sh.k.now+rem, sh.place.finish, int64(rt.idx), 0)
+	rt.finish = sh.kernelAt(sh.siteOfPool(mach.m.Pool)).schedule(sh.k.now+rem, sh.place.finish, int64(rt.idx), 0)
 	p.pushRunning(rt)
 	mach.running = append(mach.running, rt)
 	return nil

@@ -25,7 +25,7 @@ type jobRT struct {
 	// preemption installing a remote label on a local machine). Set by
 	// shard.noteAttach and cleared by shard.noteDetach; the count of
 	// live flags (world.aliasLive) is what promotes capacity handoffs
-	// to deciding events in the parallel engines.
+	// to deciding events in the optimistic engine.
 	aliased bool
 	// enqueuedAt is when the job entered its current wait queue.
 	enqueuedAt float64
@@ -91,6 +91,11 @@ type poolRT struct {
 	// last, used for preemption victim selection. Entries may be stale
 	// (finished or departed) and are pruned during scans.
 	running map[job.Priority][]*jobRT
+	// departed, when set (optimistic shards only), reports a stale
+	// running entry whose job now lives at another site. Its record
+	// belongs to another shard, which may be mutating it concurrently,
+	// so the scan prunes the entry without reading the record.
+	departed func(*jobRT) bool
 	// busyCores counts cores currently executing jobs.
 	busyCores int
 	// suspendedCnt counts jobs suspended within the pool.
@@ -237,9 +242,10 @@ func (p *poolRT) findVictim(spec *job.Spec, machines []machineRT, releaseMem boo
 			// entry here then still matches. Preempting such a victim
 			// installs this pool's arrival on the other pool's machine —
 			// possibly at another site — which is deliberate, preserved
-			// seed behavior; the parallel engine serializes it (see the
+			// seed behavior; the optimistic engine serializes it (see the
 			// cross-alias promotion in shard.go).
-			if v.j.State() != job.StateRunning || v.j.Pool != p.pool.ID {
+			if p.departed != nil && p.departed(v) ||
+				v.j.State() != job.StateRunning || v.j.Pool != p.pool.ID {
 				stack = append(stack[:i], stack[i+1:]...)
 				continue
 			}

@@ -12,7 +12,7 @@ import (
 // (susDecide) and the wait-queue stall timer (waitTimeout). Both
 // are deciding events: they consult the core.Policy — whose random
 // streams are order-sensitive — and read the (aged) utilization view,
-// so the parallel engine executes them in global timestamp order.
+// so the optimistic engine executes them in global timestamp order.
 type reschedSys struct {
 	sh *shard
 
@@ -89,11 +89,9 @@ func (sh *shard) departSuspended(rt *jobRT, target int) error {
 
 // route delivers a job in transit to a pool, after overhead minutes.
 // The destination may be another shard; cross-site overhead always
-// includes the inter-site RTT, preserving the lookahead (a same-site
-// sibling sub-shard needs none: route only runs inside deciding
-// dispatches, where send may inject directly).
+// includes the inter-site RTT, preserving the lookahead.
 func (sh *shard) route(rt *jobRT, pool int, overhead float64) {
-	sh.send(sh.w.shardOf(pool), sh.k.now+overhead, sh.place.arrive, int64(rt.idx), int64(pool))
+	sh.send(sh.siteOfPool(pool), sh.k.now+overhead, sh.place.arrive, int64(rt.idx), int64(pool))
 }
 
 // handleWaitTimeout applies the policy's waiting-job rescheduling
@@ -111,7 +109,7 @@ func (sh *shard) handleWaitTimeout(idx int) error {
 	sh.view.observe(sh.siteOfPool(rt.j.Pool))
 	target, move := sh.w.cfg.Policy.OnWaitTimeout(sh.k.now, rt.j, sh.view)
 	if !move || target == rt.j.Pool {
-		rt.waitTO = sh.k.schedule(sh.k.now+th, sh.dyn.waitTimeout, int64(rt.idx), 0)
+		rt.waitTO = sh.kernelAt(sh.siteOfPool(rt.j.Pool)).schedule(sh.k.now+th, sh.dyn.waitTimeout, int64(rt.idx), 0)
 		return nil
 	}
 	p := sh.w.pools[rt.j.Pool]

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -551,6 +552,31 @@ func TestConfigErrors(t *testing.T) {
 				t.Fatal("want error")
 			}
 		})
+	}
+}
+
+// TestUnknownEngineRejected pins the engine set: "", serial and
+// optimistic run, and anything else — including the removed
+// conservative "parallel" engine — fails with an error that lists
+// exactly the two valid engines.
+func TestUnknownEngineRejected(t *testing.T) {
+	p := miniPlatform(t, 1)
+	specs := []job.Spec{lowJob(1, 0, 10, 0)}
+	for _, engine := range []string{"", EngineSerial, EngineOptimistic} {
+		cfg := baseConfig(p)
+		cfg.Engine = engine
+		if _, err := Run(cfg, specs); err != nil {
+			t.Errorf("engine %q: %v", engine, err)
+		}
+	}
+	for _, engine := range []string{"parallel", "Serial", "time-warp"} {
+		cfg := baseConfig(p)
+		cfg.Engine = engine
+		_, err := Run(cfg, specs)
+		want := fmt.Sprintf(`sim: unknown engine %q (want "serial" or "optimistic")`, engine)
+		if err == nil || err.Error() != want {
+			t.Errorf("engine %q: got error %v, want %q", engine, err, want)
+		}
 	}
 }
 
