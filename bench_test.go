@@ -273,9 +273,9 @@ func BenchmarkFaultsMultiSiteWeek(b *testing.B) {
 // (recurring auto bursts, metro RTT matrix, reduced scale — see
 // experiments.MultiSiteYearScenario) once per engine. This is the
 // ROADMAP north-star cell: at year scale the engines' serialization
-// points — commit cycles, alias promotion — dominate
-// wall-clock, which week-scale cells amortize over too few decisions
-// to show. Sampling is disabled by the scenario so the cell times the
+// points — commit cycles and the fences that bound speculation —
+// dominate wall-clock, which week-scale cells amortize over too few
+// decisions to show. Sampling is disabled by the scenario so the cell times the
 // engine, not a year of per-minute series.
 func BenchmarkYear6(b *testing.B) {
 	sc := experiments.MultiSiteYearScenario("bench-year6", 6,

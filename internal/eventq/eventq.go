@@ -385,6 +385,17 @@ func (q *Queue) Peek() (Event, bool) {
 	return Event{}, false
 }
 
+// PeekRank is Peek plus the event's tie rank (phase, class, sequence).
+// Partitioned simulations compare the ranks of different partitions'
+// same-time heads to order cross-partition ties.
+func (q *Queue) PeekRank() (Event, [3]uint64, bool) {
+	ev, ok := q.Peek()
+	if !ok {
+		return ev, [3]uint64{}, false
+	}
+	return ev, q.rank[q.heap[0]], true
+}
+
 // NextTime returns the timestamp of the earliest pending event. ok is
 // false when the queue is empty. Partitioned simulations use it to
 // publish per-partition lower bounds (lookahead fences) without

@@ -131,6 +131,27 @@ func TestPeekSkipsCanceled(t *testing.T) {
 	}
 }
 
+func TestPeekRank(t *testing.T) {
+	q := New()
+	if _, _, ok := q.PeekRank(); ok {
+		t.Fatal("PeekRank on an empty queue reported an event")
+	}
+	h := q.SchedulePhased(5, 1, 0, 0, nil, 7)
+	q.ScheduleDelivery(5, 2, 0, 0, nil, 7, 3)
+	ev, rank, ok := q.PeekRank()
+	if !ok || ev.Kind != 2 || rank != [3]uint64{7, orderDelivered, 3} {
+		t.Fatalf("PeekRank = %+v %v %v, want the delivery ranked (7, delivered, 3)", ev, rank, ok)
+	}
+	q.Pop()
+	q.SchedulePhased(5, 3, 0, 0, nil, 2)
+	q.Cancel(h)
+	// The canceled head is skipped; the later phase-2 event surfaces
+	// with its own rank.
+	if ev, rank, ok := q.PeekRank(); !ok || ev.Kind != 3 || rank[0] != 2 || rank[1] != orderLocal {
+		t.Fatalf("PeekRank = %+v %v %v, want kind 3 at phase 2", ev, rank, ok)
+	}
+}
+
 func TestKindAndTimePreserved(t *testing.T) {
 	q := New()
 	q.Schedule(7.25, 42, 3, 9, "x")

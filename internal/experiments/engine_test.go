@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"netbatch/internal/sim"
+	"netbatch/internal/stats"
 )
 
 // engineOpts pins every knob that affects output except the engine.
@@ -119,6 +120,72 @@ func TestFaultsEnginesBitIdentical(t *testing.T) {
 		t.Errorf("faults series differ between engines:\n%s",
 			diffHead(serialSeries, optSeries))
 	}
+}
+
+// TestFaultsCrossShardTiesOrdered pins the optimistic engine's
+// cross-shard tie order on the faults cells whose maintenance windows
+// (720/1440/2160-minute offsets on the 30-minute timeout grid) put a
+// suspension decision, wait timeout or window end at the same instant
+// as a peer site's view refresh. Such heads differ in creation phase,
+// which orders them exactly, so the cells must report no ambiguous tie
+// and match the serial kernel bit for bit. Single cells keep the test
+// cheap enough to run everywhere.
+func TestFaultsCrossShardTiesOrdered(t *testing.T) {
+	cells := []struct {
+		scale            float64
+		scenario, policy string
+	}{
+		{0.02, "fed3-faults", "NoRes"},
+		{0.04, "fed3-faults", "NoRes"},
+		{0.04, "fed3-faults", "ResSusWaitUtil"},
+		{0.04, "fed3-faults", "ResSusWaitLatency"},
+		{0.04, "fed3-drain", "ResSusWaitUtil"},
+		{0.04, "fed3-drain", "ResSusWaitLatency"},
+	}
+	for _, c := range cells {
+		var fps [2]string
+		for i, engine := range []string{sim.EngineSerial, sim.EngineOptimistic} {
+			cfg, specs, err := CellSim("faults", c.scenario, c.policy, 0,
+				Options{Seed: 42, Seeds: 1, Scale: c.scale, Engine: engine})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := sim.Run(cfg, specs)
+			if err != nil {
+				t.Fatalf("%v %s/%s %s: %v", c.scale, c.scenario, c.policy, engine, err)
+			}
+			if r.AmbiguousTies() {
+				t.Errorf("%v %s/%s: %s engine flagged an ambiguous tie", c.scale, c.scenario, c.policy, engine)
+			}
+			fps[i] = resultFingerprint(r)
+		}
+		if fps[0] != fps[1] {
+			t.Errorf("%v %s/%s: engines differ:\n%s", c.scale, c.scenario, c.policy, diffHead(fps[0], fps[1]))
+		}
+	}
+}
+
+// resultFingerprint renders a run's counters, job records and series
+// in hex so comparison is bit-exact.
+func resultFingerprint(r *sim.Result) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "makespan=%x events=%d pre=%d restarts=%d mig=%d waitmoves=%d xsub=%d xmove=%d\n",
+		r.Makespan, r.Events, r.Preemptions, r.Restarts, r.Migrations,
+		r.WaitMoves, r.CrossSiteSubmits, r.CrossSiteMoves)
+	fmt.Fprintf(&sb, "crashes=%d maint=%d kills=%d worklost=%x downcm=%x\n",
+		r.Crashes, r.MaintWindows, r.Kills, r.WorkLost, r.DownCoreMinutes)
+	for _, j := range r.Jobs {
+		a := j.Acct()
+		fmt.Fprintf(&sb, "job %d: pool=%d first=%x done=%x w=%x s=%x we=%x e=%x\n",
+			j.Spec.ID, j.Pool, j.FirstStart, j.Completed, a.Wait, a.Suspend, a.WastedExec, a.Exec)
+	}
+	for _, ts := range append([]*stats.TimeSeries{r.Util, r.Suspended, r.Waiting}, r.SiteUtil...) {
+		for _, p := range ts.Points() {
+			fmt.Fprintf(&sb, " %x/%x", p.X, p.Y)
+		}
+		sb.WriteString("\n")
+	}
+	return sb.String()
 }
 
 // diffHead shows the first few differing lines of two renderings.

@@ -148,7 +148,7 @@ type Output struct {
 	// CI columns when more than one replicate ran).
 	Tables []*report.Table
 	// EngineCounters is the per-strategy engine execution table
-	// (alias retirements, rollbacks, group-commit drains), set only
+	// (events, rollbacks, group-commit drains), set only
 	// when the optimistic engine ran the cells. It is
 	// deliberately NOT part of Tables: the paper tables must render
 	// byte-identically across engines (pinned by goldens and the
@@ -375,8 +375,8 @@ func newOutput(id, title string, mr *MatrixResult) *Output {
 }
 
 // annotateEngine fills Output.EngineCounters with the per-strategy
-// engine execution counters (alias retirements, rollbacks,
-// group-commit drains) when the optimistic engine ran the cells.
+// engine execution counters (events, rollbacks, group-commit
+// drains) when the optimistic engine ran the cells.
 // Serial runs skip it: the counters describe partitioned execution
 // mechanics, and the serial goldens pin the report byte-for-byte.
 func annotateEngine(out *Output, mr *MatrixResult) {
@@ -394,7 +394,6 @@ func annotateEngine(out *Output, mr *MatrixResult) {
 					continue
 				}
 				rows[p].Events += r.Events
-				rows[p].AliasRetirements += r.AliasRetirements
 				rows[p].Rollbacks += r.Rollbacks
 				for i, n := range r.GroupCommitSize {
 					for len(rows[p].GroupCommits) <= i {

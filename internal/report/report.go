@@ -273,8 +273,6 @@ type EngineStats struct {
 	Strategy string
 	// Events is the total dispatched event count.
 	Events int64
-	// AliasRetirements counts cross-partition alias flags retired.
-	AliasRetirements int64
 	// Rollbacks counts optimistic speculation rollbacks.
 	Rollbacks int64
 	// GroupCommits is the optimistic group-commit histogram: bucket i
@@ -283,8 +281,8 @@ type EngineStats struct {
 }
 
 // EngineTable renders per-strategy engine execution counters: one row
-// per strategy with event totals, alias retirements, rollbacks, and
-// the group-commit drain count with its largest
+// per strategy with event totals, rollbacks, and the group-commit
+// drain count with its largest
 // run-length bucket. These describe how the run executed — they are
 // deliberately absent from the paper tables, whose numbers must not
 // depend on the engine.
@@ -292,7 +290,7 @@ func EngineTable(title string, rows []EngineStats) *Table {
 	t := &Table{
 		Title: title,
 		Columns: []string{"Strategy", "Events",
-			"Alias retire", "Rollbacks", "Commit drains", "Max run"},
+			"Rollbacks", "Commit drains", "Max run"},
 	}
 	for _, r := range rows {
 		drains := int64(0)
@@ -306,7 +304,6 @@ func EngineTable(title string, rows []EngineStats) *Table {
 		t.AddRow(
 			r.Strategy,
 			fmt.Sprintf("%d", r.Events),
-			fmt.Sprintf("%d", r.AliasRetirements),
 			fmt.Sprintf("%d", r.Rollbacks),
 			fmt.Sprintf("%d", drains),
 			maxRun,

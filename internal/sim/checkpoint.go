@@ -40,14 +40,14 @@ import (
 )
 
 // snapshotMagic and snapshotVersion head every encoded snapshot.
-// Version 2 dropped the persisted cross-alias flag: the alias-risk
-// ledger (world.aliasLive, jobRT.aliased) is a pure function of
-// restored job/machine state and is rederived on restore. The header's
-// engine mode is always EngineSerial; the field stays in the layout so
-// snapshots keep one format across builds.
+// Version 3 saves wait queues and running lists as exact ordered job
+// lists (no tombstoned slots or FIFO heads) and fingerprints the kind
+// table without the retired handoff class. The header's engine mode is
+// always EngineSerial; the field stays in the layout so snapshots keep
+// one format across builds.
 const (
 	snapshotMagic   = uint32(0x4e425350) // "NBSP"
-	snapshotVersion = uint32(2)
+	snapshotVersion = uint32(3)
 )
 
 // ErrSnapshotMismatch wraps every resume failure caused by the snapshot
@@ -244,7 +244,7 @@ func (d *snapDecoder) BoolsN(max int) []bool {
 func kindTableHash(k *kernel) uint64 {
 	h := fnv.New64a()
 	for _, info := range k.kinds[1:] {
-		fmt.Fprintf(h, "%s|%t|%t;", info.name, info.deciding, info.handoff)
+		fmt.Fprintf(h, "%s|%t;", info.name, info.deciding)
 	}
 	return h.Sum64()
 }
@@ -579,7 +579,6 @@ func restoreRun(sn *snapshot, sh *shard) error {
 				ErrSnapshotMismatch, codec.name, len(d.data)-d.off)
 		}
 	}
-	rebuildAliasLive(w)
 	return nil
 }
 
@@ -708,38 +707,6 @@ func (ck *checkpointer) take(t float64, events int64) error {
 		return fmt.Errorf("sim: checkpoint sink at t=%v: %w", t, err)
 	}
 	return nil
-}
-
-// rebuildAliasRisk reconstructs the derived alias-risk counters of a
-// rolled-back optimistic shard: slotCount from the un-compacted FIFO
-// slots of the shard's pools, riskCounted/aliasRisk from slotCount ×
-// away. (away itself is saved state — whether a job departed cannot be
-// derived locally.) Serial shards have no alias tracking; no-op.
-func (sh *shard) rebuildAliasRisk() {
-	if sh.slotCount == nil {
-		return
-	}
-	for i := range sh.slotCount {
-		sh.slotCount[i] = 0
-		sh.riskCounted[i] = false
-	}
-	sh.aliasRisk = 0
-	for _, s := range sh.sites {
-		for _, p := range sh.w.plat.Site(s).Pools {
-			wq := sh.w.pools[p].waitQ
-			for _, prio := range wq.prios {
-				f := wq.classes[prio]
-				for i := f.head; i < len(f.items); i++ {
-					if f.items[i] != nil {
-						sh.slotCount[f.items[i].idx]++
-					}
-				}
-			}
-		}
-	}
-	for i := range sh.slotCount {
-		sh.recountRisk(i)
-	}
 }
 
 // restoreQueue reloads a saved pending-event list into the kernel and

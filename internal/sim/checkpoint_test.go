@@ -262,6 +262,18 @@ func TestSnapshotRejectsCorruptionAndMismatch(t *testing.T) {
 		t.Errorf("workload mismatch: got %v, want ErrSnapshotMismatch", err)
 	}
 
+	// A version-2 snapshot (tombstoned queue slots, handoff kind table)
+	// is rejected by the format version, even with a valid checksum.
+	v2 := append([]byte(nil), data[:len(data)-8]...)
+	binary.LittleEndian.PutUint64(v2[8:], 2)
+	v2 = binary.LittleEndian.AppendUint64(v2, uint64(crc32.Checksum(v2, castagnoli)))
+	if err := resume(base, v2); !errors.Is(err, ErrSnapshotMismatch) {
+		t.Errorf("version-2 snapshot: got %v, want ErrSnapshotMismatch", err)
+	}
+	if _, err := ReadSnapshotMeta(v2); !errors.Is(err, ErrSnapshotMismatch) {
+		t.Errorf("version-2 metadata: got %v, want ErrSnapshotMismatch", err)
+	}
+
 	// Only the serial kernel writes snapshots: a header whose mode is
 	// anything else is rejected before the shard sections are read,
 	// even with a valid checksum.
@@ -328,5 +340,75 @@ func TestReplayBisectRejectsCrossConfigSnapshots(t *testing.T) {
 	}
 	if _, err := ReplayBisect(baseA, specsA, cksA[0].Data, cksB[0].Data); !errors.Is(err, ErrSnapshotMismatch) {
 		t.Fatalf("cross-config bisect: got %v, want ErrSnapshotMismatch", err)
+	}
+}
+
+// TestLoadListsRejectsMalformedLists feeds the placement codec's list
+// decoder hand-built sections. Every pool list threads the same link
+// fields, so a job listed twice — within one list or across two lists
+// of the same load — must be rejected, as must classes out of priority
+// order or holding a job of another priority.
+func TestLoadListsRejectsMalformedLists(t *testing.T) {
+	jobs := make([]jobRT, 4)
+	for i := range jobs {
+		spec := job.Spec{ID: job.ID(i + 1), Work: 1, Cores: 1, MemMB: 1,
+			Priority: job.PriorityLow, Candidates: []int{0}}
+		if i >= 2 {
+			spec.Priority = job.PriorityHigh
+		}
+		jobs[i] = jobRT{idx: i, j: job.New(spec)}
+		jobs[i].spec = &jobs[i].j.Spec
+	}
+	type class struct {
+		prio job.Priority
+		idxs []int
+	}
+	enc := func(classes ...class) []byte {
+		var e snapEncoder
+		e.Int(len(classes))
+		for _, c := range classes {
+			e.Int(int(c.prio))
+			e.Ints(c.idxs)
+		}
+		return e.buf
+	}
+	load := func(linked []int8, data []byte) (byPrio, error) {
+		d := &snapDecoder{data: data}
+		b := loadLists(d, jobs, linked, inWaitQueue)
+		return b, d.err
+	}
+
+	b, err := load(make([]int8, len(jobs)), enc(class{job.PriorityHigh, []int{3, 2}}, class{job.PriorityLow, []int{1, 0}}))
+	if err != nil {
+		t.Fatalf("valid lists rejected: %v", err)
+	}
+	var got []int
+	for i := range b {
+		for rt := b[i].head; rt != nil; rt = rt.next {
+			got = append(got, rt.idx)
+		}
+	}
+	if len(got) != 4 || got[0] != 3 || got[1] != 2 || got[2] != 1 || got[3] != 0 {
+		t.Fatalf("loaded order %v, want [3 2 1 0]", got)
+	}
+
+	for name, data := range map[string][]byte{
+		"duplicate in one list": enc(class{job.PriorityLow, []int{0, 1, 0}}),
+		"ascending priorities":  enc(class{job.PriorityLow, []int{0}}, class{job.PriorityHigh, []int{2}}),
+		"priority mismatch":     enc(class{job.PriorityHigh, []int{0}}),
+		"index out of range":    enc(class{job.PriorityLow, []int{4}}),
+		"negative index":        enc(class{job.PriorityLow, []int{-1}}),
+		"truncated":             enc(class{job.PriorityLow, []int{0, 1}})[:30],
+	} {
+		if _, err := load(make([]int8, len(jobs)), data); !errors.Is(err, ErrSnapshotMismatch) {
+			t.Errorf("%s: got %v, want ErrSnapshotMismatch", name, err)
+		}
+	}
+	linked := make([]int8, len(jobs))
+	if _, err := load(linked, enc(class{job.PriorityLow, []int{0}})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := load(linked, enc(class{job.PriorityLow, []int{1, 0}})); !errors.Is(err, ErrSnapshotMismatch) {
+		t.Errorf("job listed in two lists: got %v, want ErrSnapshotMismatch", err)
 	}
 }

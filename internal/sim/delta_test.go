@@ -100,15 +100,12 @@ func deltaFixture(t *testing.T, engine string) (Config, []job.Spec, []Checkpoint
 		CheckConservation: true,
 		Engine:            engine,
 	}
-	plain := base
-	plain.Policy = core.NewResSusWaitRand(99)
-	plainRes, err := Run(plain, specs)
+	plainRes, err := Run(freshDeltaComponents(base), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckCfg, cks := collectCheckpoints(base, 60)
+	ckCfg, cks := collectCheckpoints(freshDeltaComponents(base), 60)
 	ckCfg.CheckpointKeyframe = 4
-	ckCfg.Policy = core.NewResSusWaitRand(99)
 	if _, err := Run(*ckCfg, specs); err != nil {
 		t.Fatal(err)
 	}
@@ -116,6 +113,15 @@ func deltaFixture(t *testing.T, engine string) (Config, []job.Spec, []Checkpoint
 		t.Fatalf("fixture emitted only %d checkpoints; need a keyframe cycle plus deltas", len(*cks))
 	}
 	return base, specs, *cks, fingerprint(plainRes)
+}
+
+// freshDeltaComponents gives cfg its own stateful scheduler and policy
+// instances: both carry run state (rotations, RNG streams), so every
+// Run of the fixture needs fresh ones.
+func freshDeltaComponents(cfg Config) Config {
+	cfg.Initial = federatedInitial(sched.LatencyPenalizedUtil{})
+	cfg.Policy = core.NewResSusWaitRand(99)
+	return cfg
 }
 
 // reconstructChain resolves every checkpoint of a keyframed stream to
@@ -195,8 +201,7 @@ func TestDeltaSnapshotChain(t *testing.T) {
 				"last":           len(cks) - 1, // whatever the stream ends on
 			}
 			for what, idx := range picks {
-				resumed := base
-				resumed.Policy = core.NewResSusWaitRand(99)
+				resumed := freshDeltaComponents(base)
 				resumed.ResumeFrom = fulls[idx]
 				res, err := Run(resumed, specs)
 				if err != nil {

@@ -14,14 +14,11 @@ import (
 // kernel's open event-kind registry — neither the kernel nor the
 // engines know it exists.
 //
-// All four kinds are capacity handoffs: their handlers touch only the
-// owning site's machines, pools and resident jobs — plus the site's
-// private fault stream and downtime log — except that redistributing
-// capacity (a repair, a window end, or the requeue cascade of a kill)
-// scans wait queues, whose revived slots can reach jobs resident at
-// other sites. The alias-risk promotion that already protects finishes
-// and arrivals therefore covers faults with no new machinery, and the
-// serial ≡ optimistic bit-identity contract extends to fault runs.
+// All four kinds are shard-local: their handlers touch only the owning
+// site's machines, pools and resident jobs, plus the site's private
+// fault stream and downtime log, so the optimistic engine runs them
+// speculatively like completions and arrivals, and the serial ≡
+// optimistic bit-identity contract extends to fault runs.
 //
 // Determinism: each site's stream is forked from FaultConfig.Seed with
 // stats.SplitKey, so it is independent of site count, engine, and
@@ -152,7 +149,7 @@ type siteFaults struct {
 type faultSys struct {
 	sh *shard
 
-	// Allocated event kinds, all capacity handoffs.
+	// Allocated event kinds, all shard-local.
 	crash, repair, maintStart, maintEnd kind
 
 	// takenPool recycles the machine-block slices carried by maintEnd
@@ -164,10 +161,10 @@ type faultSys struct {
 }
 
 func (s *faultSys) register(k *kernel) {
-	s.crash = k.registerHandoffKind("fault.crash", func(a, _ int64, _ any) error { return s.handleCrash(int(a)) })
-	s.repair = k.registerHandoffKind("fault.repair", func(a, _ int64, _ any) error { return s.handleRepair(int(a)) })
-	s.maintStart = k.registerHandoffKind("fault.maintStart", func(a, _ int64, _ any) error { return s.handleMaintStart(int(a)) })
-	s.maintEnd = k.registerHandoffKind("fault.maintEnd", func(_, _ int64, ref any) error { return s.handleMaintEnd(ref.([]int)) })
+	s.crash = k.registerKind("fault.crash", false, func(a, _ int64, _ any) error { return s.handleCrash(int(a)) })
+	s.repair = k.registerKind("fault.repair", false, func(a, _ int64, _ any) error { return s.handleRepair(int(a)) })
+	s.maintStart = k.registerKind("fault.maintStart", false, func(a, _ int64, _ any) error { return s.handleMaintStart(int(a)) })
+	s.maintEnd = k.registerKind("fault.maintEnd", false, func(_, _ int64, ref any) error { return s.handleMaintEnd(ref.([]int)) })
 	// maintEnd carries the site in a and the taken-machine block as a
 	// boxed slice; the encoding is byte-identical to the historical
 	// struct codec.
@@ -385,7 +382,7 @@ func (sh *shard) killMachineJobs(mid int) error {
 	for len(mach.running) > 0 {
 		rt := mach.running[0]
 		mach.running = mach.running[1:]
-		sh.noteDetach(rt)
+		p.dropRunning(rt)
 		sh.k.cancel(rt.finish)
 		mach.freeCores += rt.spec.Cores
 		mach.freeMemMB += rt.spec.MemMB
@@ -398,7 +395,6 @@ func (sh *shard) killMachineJobs(mid int) error {
 	for len(mach.suspended) > 0 {
 		rt := mach.suspended[0]
 		mach.suspended = mach.suspended[1:]
-		sh.noteDetach(rt)
 		p.suspendedCnt--
 		sh.scopeSuspended--
 		if sh.w.cfg.SuspendHoldsMemory {

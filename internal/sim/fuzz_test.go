@@ -6,23 +6,26 @@ package sim
 // synthesizes a random multi-site federation and workload, both
 // engines simulate the same trace, and every observable — job records,
 // counters (including the fault set), series — must match bit for bit.
-// faultPick == 0 reproduces the historical fault-free corpus; any other
-// value enables machine crashes (and, depending on its low bits,
+// faultPick == 0 reproduces the historical fault-free corpus; any
+// other value enables machine crashes (and, depending on its low bits,
 // maintenance windows under either victim policy). Runs where the
 // optimistic engine reports an ambiguous cross-partition timestamp tie
-// (possible with fuzzed integer delays; the serial scheduling-order
-// tie-break is not reconstructible) skip the comparison but still
-// require both engines to complete cleanly. The committed corpus pins
-// the coordinates that found real ordering bugs during development: a
-// cross-site alias dispatch, an arrival/refresh tie on the sample
-// grid, a stale decision fence ahead of an unclaimed spawning event,
-// a machine crash whose kill-requeue races a cross-site arrival (the
-// coordinate class that exposed the cross-alias victim hazard — see the
-// alias-risk ledger promotion in shard.go), a crash that kills an
-// aliased job at its machine's site, after which the label site must no
-// longer treat the job as resident (see shard.noteAttach), and an
-// aliased job's completion dispatching a waiting job whose finish event
-// must live with the machine's shard (see shard.kernelAt).
+// (same-instant heads of equal creation phase on two shards, possible
+// with fuzzed integer delays, whose serial order the engine does not
+// reconstruct) skip the comparison but still require both engines to
+// complete cleanly. The committed corpus pins the coordinates that
+// found real ordering bugs during development: an arrival/refresh tie
+// on the sample grid (grid-tie), a stale decision fence ahead of an
+// unclaimed spawning event (stale-fence), and a machine crash whose
+// kill-requeue races a cross-site arrival (crash-arrive-race), next to
+// the lost-cancel and crash-drain-window coordinates. The alias-*
+// inputs date from a queue model in which a job's stale wait-queue
+// slot could revive at another site; pool queues are exact now, and
+// those coordinates stay as dense cross-site cases — jobs re-queued
+// across sites by wait moves, killed and requeued at their machine's
+// site, completions dispatching freshly arrived jobs — that check
+// every wait queue, running list and pending event stays with the
+// shard of the job's current site.
 
 import (
 	"math/rand/v2"

@@ -19,9 +19,9 @@ import (
 // identical mechanism code.
 //
 // Event kinds are an open registry, not a closed enum: a subsystem
-// allocates each kind it owns with registerKind/registerHandoffKind
-// and receives an opaque handle back, so new mechanisms plug in
-// without touching the kernel or the engines. Kind numbering follows
+// allocates each kind it owns with registerKind and receives an
+// opaque handle back, so new mechanisms plug in without touching the
+// kernel or the engines. Kind numbering follows
 // registration order; because every shard registers the same
 // subsystem list in the same order, the numbering is identical across
 // the partitions of one run (runOptimistic verifies this), which is what
@@ -50,14 +50,9 @@ type kindInfo struct {
 
 	// deciding kinds consult scheduling or rescheduling policy —
 	// shared, order-sensitive state — and the optimistic engine
-	// serializes them globally in timestamp order.
+	// serializes them globally in timestamp order. Every other kind
+	// touches only its own shard's state.
 	deciding bool
-	// handoff kinds redistribute machine capacity (completions,
-	// arrivals, fault repairs): their wait-queue scans touch only
-	// shard-local state unless the shard has live alias risk, in which
-	// case the optimistic engine promotes them to deciding (see
-	// shard.aliasRisk).
-	handoff bool
 
 	// encPayload/decPayload serialize the kind's event payload for
 	// checkpointing. registerKind installs the one-word codec (most
@@ -94,18 +89,12 @@ type subsystem interface {
 	register(k *kernel)
 }
 
-// evRef identifies a scheduled event for cancellation. It records the
-// owning queues: an alias dispatch may cancel a wait timer that a
-// different shard's kernel scheduled, and cancellation must decrement
-// that queue's live count, not the canceling shard's. For kinds the
-// optimistic engine fence-publishes (deciding kinds, and the handoff
-// kinds that alias risk can promote to deciding) it carries a second
-// handle into the corresponding shadow queue.
+// evRef identifies a scheduled event for cancellation in the kernel
+// that scheduled it. Deciding kinds under the optimistic engine carry
+// a second handle into the decide shadow queue (zero otherwise, which
+// cancels nothing).
 type evRef struct {
-	main    eventq.Handle
-	mainQ   *eventq.Queue
-	shadow  eventq.Handle
-	shadowQ *eventq.Queue
+	main, shadow eventq.Handle
 }
 
 // kernel is one partition's event loop core: clock, queue, kind
@@ -135,13 +124,10 @@ type kernel struct {
 	// registration order (see stateCodec).
 	codecs []stateCodec
 
-	// decideQ shadows pending deciding events and handoffQ shadows
-	// pending capacity-handoff events, so the partition can publish
-	// the timestamp of its next decision — and, under alias risk, its
-	// next promoted handoff — in O(1). Both are nil in the serial
-	// engine, which needs no fences.
-	decideQ  *eventq.Queue
-	handoffQ *eventq.Queue
+	// decideQ shadows pending deciding events, so the partition can
+	// publish the timestamp of its next decision in O(1). Nil in the
+	// serial engine, which needs no fences.
+	decideQ *eventq.Queue
 }
 
 func newKernel(trackDecides bool) *kernel {
@@ -155,7 +141,6 @@ func newKernel(trackDecides bool) *kernel {
 	})
 	if trackDecides {
 		k.decideQ = eventq.New()
-		k.handoffQ = eventq.New()
 	}
 	return k
 }
@@ -211,25 +196,11 @@ func (k *kernel) registerState(name string, save func(*snapEncoder), load func(*
 	k.codecs = append(k.codecs, stateCodec{name: name, save: save, load: load})
 }
 
-// registerHandoffKind allocates a capacity-handoff kind: non-deciding
-// in the serial order, but promoted to deciding by the optimistic engine
-// while the owning shard has live alias risk, because redistributing
-// capacity scans wait queues whose revived slots can reach jobs
-// resident at other sites.
-func (k *kernel) registerHandoffKind(name string, h handlerFunc) kind {
-	id := k.registerKind(name, false, h)
-	k.kinds[id].handoff = true
-	return id
-}
-
 // decides reports whether the kind is statically deciding. The
 // argument is an int because it usually arrives from an eventq.Event.
 func (k *kernel) decides(kd int) bool { return k.kinds[kd].deciding }
 
-// isHandoff reports whether the kind is a capacity handoff.
-func (k *kernel) isHandoff(kd int) bool { return k.kinds[kd].handoff }
-
-// schedule adds an event at time t, shadowing fence-published kinds.
+// schedule adds an event at time t, shadowing deciding kinds.
 // The payload is the inline word pair (a, b); the rare reference
 // payloads go through scheduleRef.
 func (k *kernel) schedule(t float64, kd kind, a, b int64) evRef {
@@ -238,55 +209,23 @@ func (k *kernel) schedule(t float64, kd kind, a, b int64) evRef {
 
 // scheduleRef is schedule for kinds that carry a reference payload.
 func (k *kernel) scheduleRef(t float64, kd kind, a, b int64, payload any) evRef {
-	ref := evRef{main: k.q.SchedulePhased(t, int(kd), a, b, payload, k.phase), mainQ: k.q}
-	info := &k.kinds[kd]
-	switch {
-	case k.decideQ != nil && info.deciding:
-		ref.shadowQ = k.decideQ
-	case k.handoffQ != nil && info.handoff:
-		ref.shadowQ = k.handoffQ
-	}
-	if ref.shadowQ != nil {
-		ref.shadow = ref.shadowQ.SchedulePhased(t, int(kd), 0, 0, nil, k.phase)
+	ref := evRef{main: k.q.SchedulePhased(t, int(kd), a, b, payload, k.phase)}
+	if k.decideQ != nil && k.kinds[kd].deciding {
+		ref.shadow = k.decideQ.SchedulePhased(t, int(kd), 0, 0, nil, k.phase)
 	}
 	return ref
 }
 
-// deliverBatch bulk-schedules one commit's pre-sorted cross-partition
-// deliveries, each ranked by its creating decision (G) and send index
-// (Idx) so same-time ties resolve exactly as the serial engine's
-// creation order would. The main queue takes the whole batch in one
-// call; fence shadows for handoff kinds are added in the same pass.
-func (k *kernel) deliverBatch(batch []eventq.Delivery) {
-	k.q.DeliverBatch(batch)
-	if k.handoffQ == nil {
-		return
-	}
-	for i := range batch {
-		d := &batch[i]
-		if k.kinds[d.Kind].handoff {
-			k.handoffQ.ScheduleDelivery(d.Time, d.Kind, 0, 0, nil, d.G, d.Idx)
-		}
-	}
-}
-
 // restoreEvent reinstates a checkpointed pending event with its exact
-// tie rank, recreating the fence shadow for published kinds. The rank
-// is reused for the shadow entry: shadow queues only publish their
-// minimum pending time and pop in lockstep with claims of their kinds,
-// so any ordering consistent with the main queue's is correct — and the
-// saved rank is exactly that.
+// tie rank, recreating the decide shadow for deciding kinds. The rank
+// is reused for the shadow entry: the shadow queue only publishes its
+// minimum pending time and pops in lockstep with claims of deciding
+// kinds, so any ordering consistent with the main queue's is correct —
+// and the saved rank is exactly that.
 func (k *kernel) restoreEvent(sev eventq.SavedEvent) evRef {
-	ref := evRef{main: k.q.Restore(sev), mainQ: k.q}
-	info := &k.kinds[sev.Kind]
-	switch {
-	case k.decideQ != nil && info.deciding:
-		ref.shadowQ = k.decideQ
-	case k.handoffQ != nil && info.handoff:
-		ref.shadowQ = k.handoffQ
-	}
-	if ref.shadowQ != nil {
-		ref.shadow = ref.shadowQ.Restore(eventq.SavedEvent{Time: sev.Time, Kind: sev.Kind, Rank: sev.Rank})
+	ref := evRef{main: k.q.Restore(sev)}
+	if k.decideQ != nil && k.kinds[sev.Kind].deciding {
+		ref.shadow = k.decideQ.Restore(eventq.SavedEvent{Time: sev.Time, Kind: sev.Kind, Rank: sev.Rank})
 	}
 	return ref
 }
@@ -303,34 +242,21 @@ func (k *kernel) releaseRef(ev eventq.Event) {
 	}
 }
 
-// cancel removes a scheduled event (and its shadow) from the queues
-// that own them, which are not necessarily this kernel's.
+// cancel removes a scheduled event and its shadow, if any.
 func (k *kernel) cancel(ref evRef) {
-	if ref.mainQ != nil {
-		ref.mainQ.Cancel(ref.main)
-	}
-	if ref.shadowQ != nil {
-		ref.shadowQ.Cancel(ref.shadow)
+	k.q.Cancel(ref.main)
+	if k.decideQ != nil {
+		k.decideQ.Cancel(ref.shadow)
 	}
 }
 
 // nextDecide returns the timestamp of the earliest pending deciding
 // event, or +inf when none is queued.
 func (k *kernel) nextDecide() float64 {
-	return shadowNext(k.decideQ)
-}
-
-// nextHandoff returns the timestamp of the earliest pending capacity
-// handoff, or +inf when none is queued.
-func (k *kernel) nextHandoff() float64 {
-	return shadowNext(k.handoffQ)
-}
-
-func shadowNext(q *eventq.Queue) float64 {
-	if q == nil {
+	if k.decideQ == nil {
 		return inf
 	}
-	if t, ok := q.NextTime(); ok {
+	if t, ok := k.decideQ.NextTime(); ok {
 		return t
 	}
 	return inf
@@ -345,8 +271,7 @@ func sameKinds(a, b *kernel) bool {
 	}
 	for i := 1; i < len(a.kinds); i++ {
 		if a.kinds[i].name != b.kinds[i].name ||
-			a.kinds[i].deciding != b.kinds[i].deciding ||
-			a.kinds[i].handoff != b.kinds[i].handoff {
+			a.kinds[i].deciding != b.kinds[i].deciding {
 			return false
 		}
 	}

@@ -19,7 +19,6 @@ type simMetrics struct {
 	undone    *obs.Counter   // events undone by rollbacks (wasted speculation)
 	drains    *obs.Counter   // optimistic group-commit drains
 	groupSize *obs.Histogram // committed-run length per drain (promoted GroupCommitSize)
-	aliasRet  *obs.Counter   // alias retirements (promoted Result.AliasRetirements)
 	ckpts     *obs.Counter   // checkpoint snapshots captured
 	ckptBytes *obs.Counter   // encoded checkpoint bytes emitted
 	qDepth    *obs.Gauge     // event-queue live-depth high-water across shards
@@ -38,7 +37,6 @@ func newSimMetrics(r *obs.Registry) simMetrics {
 		undone:    r.Counter("sim.opt.undone_events"),
 		drains:    r.Counter("sim.opt.commit_drains"),
 		groupSize: r.Histogram("sim.opt.group_commit_size"),
-		aliasRet:  r.Counter("sim.alias_retirements"),
 		ckpts:     r.Counter("sim.checkpoint.captures"),
 		ckptBytes: r.Counter("sim.checkpoint.bytes"),
 		qDepth:    r.Gauge("sim.queue.depth_max"),

@@ -48,11 +48,10 @@ import (
 // Fences. Each shard publishes a fence (shard.publishedFence): the
 // earliest timestamp at which it holds — or could ever schedule — an
 // event that reads or writes another shard's state. Its sources are
-// the decide shadow queue, the next not-yet-chained submission,
-// promoted handoffs under alias risk, and next event + minDyn
-// (processing any event at u can arm a decision no earlier than
-// u + minDyn). Two horizons bound each speculation burst, both
-// computed at quiescence from those fences:
+// the decide shadow queue, the next not-yet-chained submission, and
+// next event + minDyn (processing any event at u can arm a decision
+// no earlier than u + minDyn). Two horizons bound each speculation
+// burst, both computed at quiescence from those fences:
 //
 //	safe_i = min over peers j != i of publishedFence(j)
 //	cap    = min(min fence + window, td)
@@ -78,10 +77,9 @@ import (
 // event — buys nothing. The coordinator then runs bursts inline and
 // clamps each shard to its certain region: cap_i = safe_i, no
 // snapshots, no rollbacks, ever. Progress still holds: if no shard can
-// drain, the lowest queue head is blocked by a peer's decideFence or
-// promoted handoff (the minDyn fence terms sit strictly above the
-// lowest head), which makes td committable, and the loop commits
-// instead of bursting.
+// drain, the lowest queue head is blocked by a peer's decideFence (the
+// minDyn fence terms sit strictly above the lowest head), which makes
+// td committable, and the loop commits instead of bursting.
 //
 // The global virtual time of classic Time Warp is simply the last
 // commit time: snapshot stacks never span a commit (every deciding
@@ -93,25 +91,18 @@ import (
 // the kernel phase, so the events it creates carry a (phase, sequence)
 // tie rank that reproduces a single global queue's creation order.
 // Its cross-shard sends are delivered at the commit, one batch per
-// destination pre-sorted by (Time, G, Idx). Exact cross-shard
-// timestamp ties cannot be ordered the way the serial loop's
+// destination pre-sorted by (Time, G, Idx). Same-instant heads on
+// different shards order by phase at the commit (see optCoord.commit):
+// the lower phase was created first in serial order. Equal-phase
+// cross-shard ties cannot be ordered the way the serial loop's
 // scheduling-order tie-break does; they are resolved deterministically
-// (decider first, then lower shard index) and flagged in
-// Result.ambiguousTies. Such ties are measure-zero for the
-// float-valued synthetic traces; the one structural tie — the first
-// submission and the initial snapshot refreshes share the trace's
-// start time — is provably ordered (the serial engine schedules the
-// submission first) and is not flagged. mergeShards then recombines
-// the per-shard counters, series and event logs with the serial
-// sampler's float operations.
-//
-// While a cross-site aliased job is machine-attached (w.aliasLive > 0)
-// handoffs everywhere become deciding and may mutate remote machine
-// state, so speculation pauses: cap collapses to safe and every stack
-// is cleared. Progress then degrades to fence-bounded bursts plus
-// serialized commits, which is still exact — and once the last aliased
-// job detaches (the ledger retires the risk, see world.aliasLive),
-// handoffs demote back to shard-local events and speculation resumes.
+// (executing shard first) and flagged in Result.ambiguousTies. Such
+// ties are measure-zero for the float-valued synthetic traces; the one
+// structural tie — the first submission and the initial snapshot
+// refreshes share the trace's start time — is provably ordered (the
+// serial engine schedules the submission first) and is not flagged.
+// mergeShards then recombines the per-shard counters, series and event
+// logs with the serial sampler's float operations.
 
 // outMsg is one cross-shard event awaiting delivery at its decision's
 // commit: the inline payload words plus the (creating decision g, send
@@ -125,17 +116,6 @@ type outMsg struct {
 	idx  uint64
 }
 
-// busyShift is one busy-core mutation a shard applied to a machine at
-// another site (see shard.addBusy): run-scoped, used by the series
-// merge to move the sample attribution from the executing shard to the
-// machine's site.
-type busyShift struct {
-	t     float64
-	exec  int
-	site  int
-	delta int32
-}
-
 // parShard is the per-shard bookkeeping of a partitioned run.
 type parShard struct {
 	// outbox holds the committing decision's outgoing cross-shard
@@ -147,8 +127,6 @@ type parShard struct {
 	outbox  [][]outMsg
 	outboxN int
 
-	// busyShifts logs cross-site busy mutations for the whole run.
-	busyShifts []busyShift
 	// roundTimes/roundFin log the shard's processed events for the
 	// whole run: the event time and, for completions, the finished job
 	// index (-1 otherwise). Rollback truncates them; the merge reads
@@ -268,18 +246,15 @@ type optCoord struct {
 	// mutation counters, which a commit cannot bypass — even the
 	// cross-shard paths (outbox deliveries, a deciding dispatch
 	// canceling a peer's pending event through its evRef) go through
-	// counted queue operations. Cross-shard alias-risk side effects
-	// (noteAway on a peer) change only the aliasRisk gate, which the
-	// drain reads live, never a cached value.
+	// counted queue operations.
 	qMuts  []uint64
 	qNext  []float64 // main-queue head time (or +inf)
 	dFence []float64 // decideFence(): shadow decide head / chain submit
-	hoff   []float64 // nextHandoff(): shadow handoff head (or +inf)
 }
 
 // shardMuts sums shard i's queue mutation counters: an unchanged sum
-// between two quiescent instants proves all three pending sets — and
-// hence every cached fence value — are unchanged. (nextChainSubmit is
+// between two quiescent instants proves both pending sets — and hence
+// every cached fence value — are unchanged. (nextChainSubmit is
 // covered too: it only advances when the shard dispatches a submit,
 // which pops the main queue.)
 func (c *optCoord) shardMuts(i int) uint64 {
@@ -287,9 +262,6 @@ func (c *optCoord) shardMuts(i int) uint64 {
 	m := k.q.Muts()
 	if k.decideQ != nil {
 		m += k.decideQ.Muts()
-	}
-	if k.handoffQ != nil {
-		m += k.handoffQ.Muts()
 	}
 	return m
 }
@@ -303,26 +275,34 @@ func (c *optCoord) refreshFenceCache(i int) {
 	}
 	c.qNext[i] = t
 	c.dFence[i] = sh.decideFence()
-	c.hoff[i] = sh.k.nextHandoff()
 	c.qMuts[i] = c.shardMuts(i)
 }
 
 // cachedFence is publishedFence computed from the caches: exact (not
 // just conservative) whenever shard i's mutation counters still match
-// c.qMuts[i], since every fence source is cached and the alias gate is
-// read live.
+// c.qMuts[i], since every fence source is cached.
 func (c *optCoord) cachedFence(i int) float64 {
-	sh := c.shards[i]
 	f := c.dFence[i]
-	if sh.aliasRisk > 0 || sh.w.aliasLive > 0 {
-		if h := c.hoff[i]; h < f {
-			f = h
-		}
-	}
-	if t := c.qNext[i] + sh.w.minDyn; t < f {
+	if t := c.qNext[i] + c.w.minDyn; t < f {
 		f = t
 	}
 	return f
+}
+
+// nextCommit returns the earliest event the global order must
+// serialize and the shard holding it (-1 when none): pending deciding
+// events, where decideFence covers queued decisions and the chain
+// submits that are not queued yet but have exact times. Unlike the
+// published fence there is no minDyn term — a commit target must be
+// an event that exists.
+func (c *optCoord) nextCommit() (td float64, decider int) {
+	td, decider = inf, -1
+	for i, f := range c.dFence {
+		if f < td {
+			td, decider = f, i
+		}
+	}
+	return td, decider
 }
 
 // optSnapshots and optRollbacks count snapshot pushes and rollbacks
@@ -384,16 +364,13 @@ func (c *optCoord) runBurst(sh *shard, capT, safeT float64) {
 			c.fail(fmt.Errorf("sim: event time went backwards: %v -> %v", k.now, t))
 			return
 		}
-		if k.decides(ev.Kind) || ((sh.aliasRisk > 0 || w.aliasLive > 0) && k.isHandoff(ev.Kind)) {
+		if k.decides(ev.Kind) {
 			return
 		}
 		if t >= safeT && (len(o.stack) == 0 || o.sinceSnap >= c.snapEvery) {
 			c.pushSnapshot(sh)
 		}
 		ev, _ = k.q.Pop()
-		if k.isHandoff(ev.Kind) {
-			k.handoffQ.Pop()
-		}
 		k.now = t
 		sh.acct.advanceTo(t)
 		err := k.dispatch(ev)
@@ -542,7 +519,6 @@ func (c *optCoord) rollback(sh *shard, td float64) error {
 
 	k.q.Reset()
 	k.decideQ.Reset()
-	k.handoffQ.Reset()
 	d := &snapDecoder{data: data}
 	for _, cd := range k.codecs {
 		if err := cd.load(d); err != nil {
@@ -566,7 +542,6 @@ func (c *optCoord) rollback(sh *shard, td float64) error {
 			}
 		}
 	}
-	sh.rebuildAliasRisk()
 	o.stack = o.stack[:ti+1]
 	o.stack[ti].data, o.stack[ti].isDelta = data, false
 	o.sinceSnap = 0
@@ -579,14 +554,11 @@ func (c *optCoord) rollback(sh *shard, td float64) error {
 		if !ok || ev.Time >= td {
 			break
 		}
-		if k.decides(ev.Kind) || ((sh.aliasRisk > 0 || c.w.aliasLive > 0) && k.isHandoff(ev.Kind)) {
+		if k.decides(ev.Kind) {
 			return fmt.Errorf("sim: internal: deciding event at t=%v below commit t=%v during replay",
 				ev.Time, td)
 		}
 		ev, _ = k.q.Pop()
-		if k.isHandoff(ev.Kind) {
-			k.handoffQ.Pop()
-		}
 		k.now = ev.Time
 		sh.acct.advanceTo(ev.Time)
 		err := k.dispatch(ev)
@@ -627,12 +599,17 @@ func (c *optCoord) rollback(sh *shard, td float64) error {
 	return nil
 }
 
-// commit executes exactly one event at td on the decider shard under
-// global quiescence, after rolling every shard that speculated to or
-// past td back below it. The head is usually the deciding event that
-// defined td, but can be a same-time local ranked before it. Deciding
-// commits advance gseq and stamp the phase, flag ambiguous ties, and
-// deliver the decision's sends in (Time, G, Idx) order.
+// commit executes exactly one event at td under global quiescence,
+// after rolling every shard that speculated to or past td back below
+// it. The event is the decider's head — usually the deciding event
+// that defined td, or a same-time local ranked before it — unless a
+// peer's head at td carries a lower tie-rank phase. An event stamped
+// with phase p was created after commit p and before commit p+1 in
+// serial order, so across shards the lower phase is the serial
+// loop's earlier event: it commits first, on its own shard, whether
+// it is a local event or a decision. Deciding commits advance gseq and
+// stamp the phase, flag ambiguous ties, and deliver the decision's
+// sends in (Time, G, Idx) order.
 func (c *optCoord) commit(td float64, decider int) error {
 	w := c.w
 	for i, sh := range c.shards {
@@ -640,49 +617,56 @@ func (c *optCoord) commit(td float64, decider int) error {
 			if err := c.rollback(sh, td); err != nil {
 				return err
 			}
-			// Keep the fence caches fresh through the tie scan below:
+			// Keep the fence caches fresh through the tie scans below:
 			// the rollback rebuilt this shard's queues.
 			c.refreshFenceCache(i)
 		}
 	}
-	dsh := c.shards[decider]
-	ev, ok := dsh.k.q.Peek()
+	ev, rank, ok := c.shards[decider].k.q.PeekRank()
 	if !ok || ev.Time != td {
 		return fmt.Errorf("sim: internal: shard %d commit head at t=%v, want t=%v",
 			decider, ev.Time, td)
 	}
-	kd := ev.Kind
-	deciding := dsh.k.decides(kd) || ((dsh.aliasRisk > 0 || w.aliasLive > 0) && dsh.k.isHandoff(kd))
-
-	// Ambiguous-tie scan: a deciding commit flags any peer holding an
-	// event or a fence at exactly td (with the structural start-tie
-	// exemption for the snapshot chains every shard seeds at the trace
-	// start); a local commit flags only tied fences (same-time locals in
-	// different shards commute).
+	// Every call site reaches here with each shard's fence caches fresh
+	// (the quiescent pass or the drain rescan refilled them, and the
+	// rollback loop above re-refreshed any shard it undid), so shards
+	// without a head at td are skipped on cached values alone.
+	exec := decider
 	for qi, sh := range c.shards {
-		if qi == decider {
+		if qi == exec || c.qNext[qi] != td {
 			continue
 		}
-		// Every call site reaches here with shard qi's fence caches
-		// fresh (the quiescent pass or the drain rescan refilled them,
-		// and the rollback loop above re-refreshed any shard it undid),
-		// so the common no-tie case decides on cached values alone.
-		if c.qNext[qi] > td && c.cachedFence(qi) > td {
+		if pe, pr, _ := sh.k.q.PeekRank(); pr[0] < rank[0] {
+			exec, ev, rank = qi, pe, pr
+		}
+	}
+	dsh := c.shards[exec]
+	deciding := dsh.k.decides(ev.Kind)
+
+	// Ambiguous-tie scan: only a peer whose head at td shares the
+	// executed head's phase is unordered — both events were created
+	// between the same two commits, by different shards. A deciding
+	// commit flags such a peer (with the structural start-tie exemption
+	// for the snapshot chains every shard seeds at the trace start); a
+	// local commit flags it only when the peer's fence is also at td
+	// (same-time locals in different shards commute).
+	for qi, sh := range c.shards {
+		if qi == exec || c.qNext[qi] > td && c.cachedFence(qi) > td {
 			continue
 		}
-		qn, nextKind := inf, 0
-		if pe, pok := sh.k.q.Peek(); pok {
-			qn, nextKind = pe.Time, pe.Kind
+		pe, pr, pok := sh.k.q.PeekRank()
+		if !pok || pe.Time != td || pr[0] != rank[0] {
+			continue
 		}
 		fence := sh.publishedFence()
 		switch {
-		case deciding && (qn == td || fence == td):
-			structural := td == w.start && kd == c.kSubmit &&
-				nextKind == c.kSnapshot && fence > td
+		case deciding:
+			structural := td == w.start && ev.Kind == c.kSubmit &&
+				pe.Kind == c.kSnapshot && fence > td
 			if !structural {
 				c.ties = true
 			}
-		case !deciding && fence == td:
+		case fence == td:
 			c.ties = true
 		}
 	}
@@ -692,10 +676,8 @@ func (c *optCoord) commit(td float64, decider int) error {
 	}
 	dsh.k.phase = c.gseq
 	ev, _ = dsh.k.q.Pop()
-	if dsh.k.decides(ev.Kind) {
+	if deciding {
 		dsh.k.decideQ.Pop()
-	} else if dsh.k.isHandoff(ev.Kind) {
-		dsh.k.handoffQ.Pop()
 	}
 	dsh.k.now = td
 	dsh.acct.advanceTo(td)
@@ -779,7 +761,7 @@ func (c *optCoord) deliverOutbox(src *shard) error {
 				return batch[i].Idx < batch[j].Idx
 			})
 		}
-		c.shards[d].k.deliverBatch(batch)
+		c.shards[d].k.q.DeliverBatch(batch)
 		c.batch = batch[:0]
 	}
 	return nil
@@ -839,7 +821,6 @@ func runOptimistic(w *world) (*Result, error) {
 	// it.
 	estLog := 8*len(w.specs)/len(shards) + 256
 	for _, sh := range shards {
-		sh.peers = shards
 		if !sameKinds(shards[0].k, sh.k) {
 			return nil, fmt.Errorf("sim: shard %d allocated a different event-kind table", sh.index)
 		}
@@ -863,7 +844,6 @@ func runOptimistic(w *world) (*Result, error) {
 	c.qMuts = make([]uint64, len(shards))
 	c.qNext = make([]float64, len(shards))
 	c.dFence = make([]float64, len(shards))
-	c.hoff = make([]float64, len(shards))
 	// Timeline lanes in deterministic order (coordinator first, shards
 	// by index); all nil no-ops when tracing is off.
 	c.tk = w.cfg.Trace.Track("coordinator")
@@ -971,25 +951,7 @@ func runOptimistic(w *world) (*Result, error) {
 			}
 		}
 
-		// The earliest event the global order must serialize: pending
-		// deciding events (decideFence covers queued decisions and the
-		// chain submits that are not queued yet but have exact times),
-		// plus promoted handoffs under alias risk. Unlike the published
-		// fence there is no minDyn term — a commit target must be an
-		// event that exists.
-		td := inf
-		decider := -1
-		for i, sh := range shards {
-			cand := c.dFence[i]
-			if sh.aliasRisk > 0 || w.aliasLive > 0 {
-				if h := c.hoff[i]; h < cand {
-					cand = h
-				}
-			}
-			if cand < td {
-				td, decider = cand, i
-			}
-		}
+		td, decider := c.nextCommit()
 		if decider >= 0 && minNext >= td {
 			// Every event below td has executed, so the decision
 			// observes exactly the serial prefix. Group-commit drain:
@@ -1044,18 +1006,7 @@ func runOptimistic(w *world) (*Result, error) {
 					// quiescent pass, with its exact error wording.
 					break
 				}
-				td, decider = inf, -1
-				for i, sh := range shards {
-					cand := c.dFence[i]
-					if sh.aliasRisk > 0 || w.aliasLive > 0 {
-						if h := c.hoff[i]; h < cand {
-							cand = h
-						}
-					}
-					if cand < td {
-						td, decider = cand, i
-					}
-				}
+				td, decider = c.nextCommit()
 				if decider < 0 || minNext < td {
 					break
 				}
@@ -1097,11 +1048,7 @@ func runOptimistic(w *world) (*Result, error) {
 				min2 = f
 			}
 		}
-		specW := c.window
-		if w.aliasLive > 0 {
-			specW = 0
-		}
-		capAll := min1 + specW
+		capAll := min1 + c.window
 		if td < capAll && !optUncapped {
 			capAll = td
 		}
@@ -1121,10 +1068,9 @@ func runOptimistic(w *world) (*Result, error) {
 				// drain (every queue head at or past its bound), the
 				// lowest head qm is blocked by some peer's fence, and a
 				// fence at or below qm can only come from that peer's
-				// decideFence or promoted handoff (the minDyn terms all
-				// sit strictly above qm) — both of which feed td, so
-				// td <= minNext and the next pass commits instead of
-				// bursting.
+				// decideFence (the minDyn terms all sit strictly above
+				// qm), which feeds td, so td <= minNext and the next
+				// pass commits instead of bursting.
 				capT = safeT
 			}
 			sh.opt.safeT = safeT
@@ -1249,10 +1195,6 @@ func mergeShards(w *world, shards []*shard, ties bool) (*Result, error) {
 		}
 	}
 	res.Events = events
-	res.AliasRetirements = w.aliasRetired
-	// Promote the run's execution counters into the metrics registry
-	// (no-ops when Config.Metrics is unset).
-	w.met.aliasRet.Add(w.aliasRetired)
 
 	if !w.cfg.DisableSampling {
 		mergeSeries(w, shards, &res)
@@ -1276,22 +1218,6 @@ func mergeSeries(w *world, shards []*shard, res *Result) {
 	for s := range siteTS {
 		siteTS[s] = stats.NewTimeSeries(bin)
 	}
-	// Cross-site busy shifts (serialized mutations of a remote site's
-	// machines, possible only after a cross-site alias dispatch): the
-	// executing shard's raw samples include them in its own scope, while
-	// the serial site series attribute them to the machine's site. corr
-	// re-attributes tick by tick: +delta to the machine's site, −delta
-	// to the executor's. Shifts of different shards carry distinct
-	// timestamps (they happen under global serialization; exact ties are
-	// measure-zero and flagged elsewhere), so a stable sort by time
-	// reproduces the serial application order.
-	var shifts []busyShift
-	for _, sh := range shards {
-		shifts = append(shifts, sh.par.busyShifts...)
-	}
-	sort.SliceStable(shifts, func(a, b int) bool { return shifts[a].t < shifts[b].t })
-	corr := make([]int, w.nSites)
-	next := 0
 
 	n := math.MaxInt
 	for _, sh := range shards {
@@ -1301,13 +1227,6 @@ func mergeSeries(w *world, shards []*shard, res *Result) {
 	}
 	t := w.start
 	for i := 0; i < n && t < res.Makespan; i++ {
-		// A tick reads post-event state at its own timestamp, so shifts
-		// at exactly t apply to it.
-		for next < len(shifts) && shifts[next].t <= t {
-			corr[shifts[next].site] += int(shifts[next].delta)
-			corr[shifts[next].exec] -= int(shifts[next].delta)
-			next++
-		}
 		busy, suspended, waiting := 0, 0, 0
 		for _, sh := range shards {
 			busy += int(sh.acct.rawBusy[i])
@@ -1324,7 +1243,7 @@ func mergeSeries(w *world, shards []*shard, res *Result) {
 		for s, sh := range shards {
 			su := 0.0
 			if w.siteCores[s] > 0 {
-				su = float64(corr[s]+int(sh.acct.rawBusy[i])) / float64(w.siteCores[s]) * 100
+				su = float64(sh.acct.rawBusy[i]) / float64(w.siteCores[s]) * 100
 			}
 			siteTS[s].Add(t, su)
 		}

@@ -268,7 +268,7 @@ func TestParallelFallbackSingleSite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := base
+	opt := baseConfig(p)
 	opt.Engine = EngineOptimistic
 	optRes, err := Run(opt, specs)
 	if err != nil {

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
 	"netbatch/internal/job"
 )
@@ -18,18 +17,17 @@ type placementSys struct {
 	sh *shard
 
 	// Allocated event kinds: submission is deciding; arrivals and
-	// completions are capacity handoffs (promoted to deciding under
-	// alias risk).
+	// completions are shard-local.
 	submit, arrive, finish kind
 }
 
 func (s *placementSys) register(k *kernel) {
 	sh := s.sh
 	s.submit = k.registerKind("submit", true, func(a, _ int64, _ any) error { return sh.handleSubmit(int(a)) })
-	s.arrive = k.registerHandoffKind("arrive", func(a, b int64, _ any) error {
+	s.arrive = k.registerKind("arrive", false, func(a, b int64, _ any) error {
 		return sh.arrival(int(a), int(b))
 	})
-	s.finish = k.registerHandoffKind("finish", func(a, _ int64, _ any) error { return sh.handleFinish(int(a)) })
+	s.finish = k.registerKind("finish", false, func(a, _ int64, _ any) error { return sh.handleFinish(int(a)) })
 	// arrive carries (job idx, destination pool) in (a, b); the encoding
 	// is byte-identical to the historical two-int struct codec.
 	k.setPayloadCodec(s.arrive,
@@ -44,22 +42,12 @@ func (s *placementSys) register(k *kernel) {
 
 // save dumps the placement subsystem's slice of shard state: for every
 // in-scope site its busy counter, pool runtime state (class free
-// stacks, wait queue with tombstoned slots and exact FIFO layout,
-// victim-scan stacks with their stale entries, counters) and machine
-// runtime state (capacity, availability, resident job lists), plus the
-// full record of every job submitted in scope. FIFO layout and stale
-// stack entries are behavior, not bookkeeping — compaction timing
-// drives alias-risk accounting and victim pruning — so they are saved
-// exactly rather than rebuilt.
+// stacks, wait-queue classes and running lists in order, counters) and
+// machine runtime state (capacity, availability, resident job lists),
+// plus the full record of every job submitted in scope.
 func (s *placementSys) save(e *snapEncoder) {
 	sh := s.sh
 	w := sh.w
-	jobIdx := func(rt *jobRT) int {
-		if rt == nil {
-			return -1
-		}
-		return rt.idx
-	}
 	for _, site := range sh.sites {
 		e.Int(w.siteBusy[site])
 		for _, pid := range w.plat.Site(site).Pools {
@@ -70,32 +58,8 @@ func (s *placementSys) save(e *snapEncoder) {
 			for ci := range p.classes {
 				e.Ints(p.classes[ci].free)
 			}
-			wq := p.waitQ
-			e.Int(wq.n)
-			e.Int(len(wq.prios))
-			for _, prio := range wq.prios {
-				e.Int(int(prio))
-				f := wq.classes[prio]
-				e.Int(f.head)
-				e.Int(len(f.items))
-				for _, rt := range f.items {
-					e.Int(jobIdx(rt))
-				}
-			}
-			prios := make([]int, 0, len(p.running))
-			for prio := range p.running {
-				prios = append(prios, int(prio))
-			}
-			sort.Ints(prios)
-			e.Int(len(prios))
-			for _, prio := range prios {
-				e.Int(prio)
-				stack := p.running[job.Priority(prio)]
-				e.Int(len(stack))
-				for _, rt := range stack {
-					e.Int(jobIdx(rt))
-				}
-			}
+			saveLists(e, p.waitQ.classes)
+			saveLists(e, p.running)
 		}
 		for _, pid := range w.plat.Site(site).Pools {
 			for _, mid := range w.plat.Pool(pid).Machines {
@@ -142,18 +106,69 @@ func (s *placementSys) save(e *snapEncoder) {
 	}
 }
 
+// saveLists writes a byPrio class by class: the priority, then the
+// jobs head to tail.
+func saveLists(e *snapEncoder, b byPrio) {
+	e.Int(len(b))
+	for i := range b {
+		e.Int(int(b[i].prio))
+		e.Int(b[i].n)
+		for rt := b[i].head; rt != nil; rt = rt.next {
+			e.Int(rt.idx)
+		}
+	}
+}
+
+// Pool-list membership marks recorded while loading, checked against
+// the restored job records.
+const (
+	inWaitQueue = int8(1)
+	inRunning   = int8(2)
+)
+
+// loadLists rebuilds a byPrio written by saveLists, marking each job
+// in linked. Classes must come in strictly descending priority order
+// and hold only jobs of their own priority, and no job may be listed
+// twice: linked is shared by every list of one load, because all lists
+// thread the same link fields.
+func loadLists(d *snapDecoder, jobs []jobRT, linked []int8, mark int8) byPrio {
+	nc := d.Int()
+	if d.err != nil || nc < 0 || nc > len(d.data)-d.off {
+		d.fail()
+		return nil
+	}
+	b := make(byPrio, 0, nc)
+	for i := 0; i < nc; i++ {
+		prio := job.Priority(d.Int())
+		idxs := d.IntsN(len(jobs))
+		if d.err != nil || prio <= 0 || i > 0 && prio >= b[i-1].prio {
+			d.fail()
+			return nil
+		}
+		b = append(b, prioList{prio: prio})
+		for _, idx := range idxs {
+			if idx < 0 || idx >= len(jobs) || linked[idx] != 0 || jobs[idx].spec.Priority != prio {
+				d.fail()
+				return nil
+			}
+			linked[idx] = mark
+			b[i].push(&jobs[idx])
+		}
+	}
+	return b
+}
+
 // jobScope returns the job-record indices a save covers. The full
 // codec covers every job ever submitted in shard scope (sh.subIdx,
 // implicit: save and load both iterate it). Optimistic rollback
 // snapshots instead write an explicit list covering exactly the
 // records this shard's speculation can mutate: jobs resident at its
-// sites (wait-queue slots, running stacks and machine lists — alias
-// slots of departed jobs excluded, those records belong to the shard
-// the job moved to) plus jobs in transit to it (a pending arrive event
-// mutates the record when it fires). Records outside the set cannot
-// change between a rollback snapshot and its restore: decisions
-// invalidate every snapshot at commit, and other shards' speculation
-// touches only their own residents.
+// sites (wait queues, running lists and machine lists) plus jobs in
+// transit to it (a pending arrive event mutates the record when it
+// fires). Records outside the set cannot change between a rollback
+// snapshot and its restore: decisions invalidate every snapshot at
+// commit, and other shards' speculation touches only their own
+// residents.
 func (s *placementSys) jobScope(e *snapEncoder) []int {
 	sh := s.sh
 	if sh.opt == nil {
@@ -163,24 +178,23 @@ func (s *placementSys) jobScope(e *snapEncoder) []int {
 	idxs := sh.opt.scopeIdx[:0]
 	seen := sh.opt.scopeSeen
 	add := func(rt *jobRT) {
-		if rt != nil && !sh.away[rt.idx] && !seen[rt.idx] {
+		if !seen[rt.idx] {
 			seen[rt.idx] = true
 			idxs = append(idxs, rt.idx)
+		}
+	}
+	addLists := func(b byPrio) {
+		for i := range b {
+			for rt := b[i].head; rt != nil; rt = rt.next {
+				add(rt)
+			}
 		}
 	}
 	for _, site := range sh.sites {
 		for _, pid := range w.plat.Site(site).Pools {
 			p := w.pools[pid]
-			for _, prio := range p.waitQ.prios {
-				for _, rt := range p.waitQ.classes[prio].items {
-					add(rt)
-				}
-			}
-			for _, stack := range p.running {
-				for _, rt := range stack {
-					add(rt)
-				}
-			}
+			addLists(p.waitQ.classes)
+			addLists(p.running)
 			for _, mid := range w.plat.Pool(pid).Machines {
 				m := &w.machines[mid]
 				for _, rt := range m.suspended {
@@ -213,15 +227,13 @@ func (s *placementSys) load(d *snapDecoder) error {
 	w := sh.w
 	nJobs := len(w.jobs)
 	jobAt := func(idx int) *jobRT {
-		if idx == -1 {
-			return nil
-		}
 		if idx < 0 || idx >= nJobs {
 			d.fail()
 			return nil
 		}
 		return &w.jobs[idx]
 	}
+	linked := make([]int8, nJobs)
 	for _, site := range sh.sites {
 		w.siteBusy[site] = d.Int()
 		for _, pid := range w.plat.Site(site).Pools {
@@ -234,48 +246,10 @@ func (s *placementSys) load(d *snapDecoder) error {
 			for ci := range p.classes {
 				p.classes[ci].free = d.IntsN(-1)
 			}
-			wq := p.waitQ
-			wq.n = d.Int()
-			nPrios := d.Int()
-			if d.err != nil || nPrios < 0 {
-				d.fail()
+			p.waitQ.classes = loadLists(d, w.jobs, linked, inWaitQueue)
+			p.running = loadLists(d, w.jobs, linked, inRunning)
+			if d.err != nil {
 				return d.err
-			}
-			wq.classes = make(map[job.Priority]*fifo, nPrios)
-			wq.prios = wq.prios[:0]
-			for i := 0; i < nPrios; i++ {
-				prio := job.Priority(d.Int())
-				f := &fifo{head: d.Int()}
-				nItems := d.Int()
-				if d.err != nil || nItems < 0 || nItems > 1<<30 {
-					d.fail()
-					return d.err
-				}
-				f.items = make([]*jobRT, nItems)
-				for it := range f.items {
-					f.items[it] = jobAt(d.Int())
-				}
-				wq.classes[prio] = f
-				wq.prios = append(wq.prios, prio)
-			}
-			nRun := d.Int()
-			if d.err != nil || nRun < 0 {
-				d.fail()
-				return d.err
-			}
-			p.running = make(map[job.Priority][]*jobRT, nRun)
-			for i := 0; i < nRun; i++ {
-				prio := job.Priority(d.Int())
-				stack := make([]*jobRT, 0, 4)
-				nStack := d.Int()
-				if d.err != nil || nStack < 0 || nStack > 1<<30 {
-					d.fail()
-					return d.err
-				}
-				for it := 0; it < nStack; it++ {
-					stack = append(stack, jobAt(d.Int()))
-				}
-				p.running[prio] = stack
 			}
 		}
 		for _, pid := range w.plat.Site(site).Pools {
@@ -347,6 +321,18 @@ func (s *placementSys) load(d *snapDecoder) error {
 		rt.j.RestoreState(st)
 		rt.enqueuedAt = d.F64()
 		rt.queued = d.Bool()
+		// A job waits in a pool queue exactly when it is queued, and
+		// sits in a running list exactly when it runs.
+		want := int8(0)
+		if rt.queued {
+			want = inWaitQueue
+		} else if st.State == job.StateRunning {
+			want = inRunning
+		}
+		if linked[idx] != want {
+			d.fail()
+			return d.err
+		}
 	}
 	return d.err
 }
@@ -381,7 +367,6 @@ func (sh *shard) handleSubmit(idx int) error {
 // queue it.
 func (sh *shard) arrival(idx, pool int) error {
 	rt := &sh.w.jobs[idx]
-	sh.noteResident(idx)
 	if err := rt.j.Enqueue(sh.k.now, pool); err != nil {
 		return err
 	}
@@ -453,10 +438,9 @@ func (sh *shard) startOn(rt *jobRT, mid int) error {
 		return err
 	}
 	rem := rt.j.RemainingAt(sh.k.now)
-	rt.finish = sh.kernelAt(sh.siteOfPool(mach.m.Pool)).schedule(sh.k.now+rem, sh.place.finish, int64(rt.idx), 0)
+	rt.finish = sh.k.schedule(sh.k.now+rem, sh.place.finish, int64(rt.idx), 0)
 	p.pushRunning(rt)
 	mach.running = append(mach.running, rt)
-	sh.noteAttach(rt, mach.m.Pool)
 	sh.ensureFree(p, mid)
 	return nil
 }
@@ -492,7 +476,7 @@ func (sh *shard) preempt(rt *jobRT, victim *jobRT) error {
 	// at the next agent sweep, DecisionDelay later. If the victim has
 	// resumed (or been re-suspended and moved) by then, the stale event
 	// is ignored.
-	sh.kernelAt(sh.siteOfPool(mach.m.Pool)).schedule(sh.k.now+sh.w.cfg.DecisionDelay, sh.dyn.susDecide, int64(victim.idx), 0)
+	sh.k.schedule(sh.k.now+sh.w.cfg.DecisionDelay, sh.dyn.susDecide, int64(victim.idx), 0)
 
 	// The victim may have freed more cores than the preemptor needs.
 	return sh.onFree(mid)
@@ -502,11 +486,10 @@ func (sh *shard) preempt(rt *jobRT, victim *jobRT) error {
 // wait-timeout timer.
 func (sh *shard) enqueue(rt *jobRT, p *poolRT) {
 	p.waitQ.push(rt)
-	sh.noteSlotPush(rt.idx)
 	rt.enqueuedAt = sh.k.now
 	sh.scopeWaiting++
 	if th := sh.w.cfg.Policy.WaitThreshold(); th > 0 {
-		rt.waitTO = sh.kernelAt(sh.siteOfPool(p.pool.ID)).schedule(sh.k.now+th, sh.dyn.waitTimeout, int64(rt.idx), 0)
+		rt.waitTO = sh.k.schedule(sh.k.now+th, sh.dyn.waitTimeout, int64(rt.idx), 0)
 	}
 }
 
@@ -526,7 +509,7 @@ func (sh *shard) handleFinish(idx int) error {
 	}
 	sh.completed++
 	removeRunning(mach, rt)
-	sh.noteDetach(rt)
+	p.dropRunning(rt)
 	mach.freeCores += rt.spec.Cores
 	mach.freeMemMB += rt.spec.MemMB
 	p.busyCores -= rt.spec.Cores
@@ -558,16 +541,6 @@ func (sh *shard) onFree(mid int) error {
 			(sh.w.cfg.QueueBeatsResume && wrt.j.Spec.Priority > srt.j.Spec.Priority))
 		if useWaiting {
 			p.waitQ.remove(wrt)
-			// A revived slot may hand us a job whose last enqueue was at
-			// another site (see waitQueue), exactly as the serial engine
-			// does. This branch then runs under global quiescence (alias
-			// risk promotes the event to deciding). The dispatch leaves
-			// the job's Pool label pointing at the other site, opening
-			// every cross-site hazard the alias-risk ledger guards
-			// against: the startOn below flags the job aliased, moves
-			// its custody to the machine's site (shard.noteAttach), and
-			// all capacity handoffs serialize until the last such job
-			// detaches.
 			sh.scopeWaiting--
 			sh.k.cancel(wrt.waitTO)
 			if err := sh.startOn(wrt, mid); err != nil {
@@ -631,7 +604,7 @@ func (sh *shard) resume(rt *jobRT) error {
 		return err
 	}
 	rem := rt.j.RemainingAt(sh.k.now)
-	rt.finish = sh.kernelAt(sh.siteOfPool(mach.m.Pool)).schedule(sh.k.now+rem, sh.place.finish, int64(rt.idx), 0)
+	rt.finish = sh.k.schedule(sh.k.now+rem, sh.place.finish, int64(rt.idx), 0)
 	p.pushRunning(rt)
 	mach.running = append(mach.running, rt)
 	return nil

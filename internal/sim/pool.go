@@ -17,16 +17,12 @@ type jobRT struct {
 	finish evRef
 	// waitTO is the pending wait-timeout event, valid while queued.
 	waitTO evRef
-	// queued marks live membership in a pool wait queue.
+	// queued marks membership in a pool wait queue.
 	queued bool
-	// aliased marks a job attached to a machine (running or suspended)
-	// at a site other than its queue-pool label's site — the product of
-	// a cross-site alias dispatch (a revived wait-queue slot, or a
-	// preemption installing a remote label on a local machine). Set by
-	// shard.noteAttach and cleared by shard.noteDetach; the count of
-	// live flags (world.aliasLive) is what promotes capacity handoffs
-	// to deciding events in the optimistic engine.
-	aliased bool
+	// prev/next link the job into the one pool list holding it (see
+	// jobList): its wait-queue class while queued, its pool's running
+	// list while running, none otherwise.
+	prev, next *jobRT
 	// enqueuedAt is when the job entered its current wait queue.
 	enqueuedAt float64
 }
@@ -87,15 +83,9 @@ type poolRT struct {
 	classes []machineClass
 	// waitQ is the pool's wait queue.
 	waitQ *waitQueue
-	// running holds per-priority stacks of running jobs, most recent
-	// last, used for preemption victim selection. Entries may be stale
-	// (finished or departed) and are pruned during scans.
-	running map[job.Priority][]*jobRT
-	// departed, when set (optimistic shards only), reports a stale
-	// running entry whose job now lives at another site. Its record
-	// belongs to another shard, which may be mutating it concurrently,
-	// so the scan prunes the entry without reading the record.
-	departed func(*jobRT) bool
+	// running holds the pool's running jobs in per-priority lists, in
+	// start (or resume) order, for preemption victim selection.
+	running byPrio
 	// busyCores counts cores currently executing jobs.
 	busyCores int
 	// suspendedCnt counts jobs suspended within the pool.
@@ -131,7 +121,6 @@ func newPoolRT(plat *cluster.Platform, pool *cluster.Pool, machines []machineRT)
 	rt := &poolRT{
 		pool:     pool,
 		waitQ:    newWaitQueue(),
-		running:  make(map[job.Priority][]*jobRT),
 		capsByOS: make(map[string]caps),
 	}
 	type classKey struct {
@@ -219,47 +208,30 @@ func (c *machineClass) findAvailable(machines []machineRT, spec *job.Spec) int {
 
 // pushRunning records a job as running in the pool.
 func (p *poolRT) pushRunning(rt *jobRT) {
-	prio := rt.j.Spec.Priority
-	p.running[prio] = append(p.running[prio], rt)
+	p.running.list(rt.j.Spec.Priority).push(rt)
+}
+
+// dropRunning removes a job that stops running in the pool.
+func (p *poolRT) dropRunning(rt *jobRT) {
+	p.running.list(rt.j.Spec.Priority).remove(rt)
 }
 
 // findVictim scans running jobs of priority strictly below prio, most
 // recently started first, for one whose preemption would let spec run
-// on its machine. It returns nil if none qualifies. Stale entries are
-// pruned; the returned victim is removed from the stack.
+// on its machine. It returns nil if none qualifies; the returned victim
+// is removed from the running list.
 func (p *poolRT) findVictim(spec *job.Spec, machines []machineRT, releaseMem bool) *jobRT {
-	for vp := job.Priority(1); vp < spec.Priority; vp++ {
-		stack, ok := p.running[vp]
-		if !ok {
-			continue
-		}
-		for i := len(stack) - 1; i >= 0; i-- {
-			v := stack[i]
-			// Prune entries that are no longer running in this pool. Note
-			// the test reads j.Pool — the pool of the job's last enqueue —
-			// not the machine's pool: an alias-revived slot (see waitQueue)
-			// can dispatch a job onto another pool's machine, and its old
-			// entry here then still matches. Preempting such a victim
-			// installs this pool's arrival on the other pool's machine —
-			// possibly at another site — which is deliberate, preserved
-			// seed behavior; the optimistic engine serializes it (see the
-			// cross-alias promotion in shard.go).
-			if p.departed != nil && p.departed(v) ||
-				v.j.State() != job.StateRunning || v.j.Pool != p.pool.ID {
-				stack = append(stack[:i], stack[i+1:]...)
-				continue
-			}
+	for i := len(p.running) - 1; i >= 0 && p.running[i].prio < spec.Priority; i-- {
+		for v := p.running[i].tail; v != nil; v = v.prev {
 			mach := &machines[v.j.Machine]
 			// A draining machine's jobs run to completion but free no
 			// usable capacity, so preempting them is pointless.
 			if mach.down || !victimWorks(v, mach, spec, releaseMem) {
 				continue
 			}
-			stack = append(stack[:i], stack[i+1:]...)
-			p.running[vp] = stack
+			p.running[i].remove(v)
 			return v
 		}
-		p.running[vp] = stack
 	}
 	return nil
 }

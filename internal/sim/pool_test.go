@@ -138,10 +138,10 @@ func TestFindVictimPicksMostRecentLowest(t *testing.T) {
 	if victim != v2 {
 		t.Fatalf("victim = %v, want most recently started job 2", victim.spec.ID)
 	}
-	// Victim was removed from the running stack.
-	for _, rt := range p.running[job.PriorityLow] {
+	// Victim was removed from the running list.
+	for rt := p.running.list(job.PriorityLow).head; rt != nil; rt = rt.next {
 		if rt == v2 {
-			t.Fatal("victim still on running stack")
+			t.Fatal("victim still on running list")
 		}
 	}
 }

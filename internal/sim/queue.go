@@ -4,30 +4,76 @@ import (
 	"netbatch/internal/job"
 )
 
+// jobList is an intrusive FIFO of job records, threaded through
+// jobRT.prev/next. A job sits in at most one pool list at a time — a
+// wait-queue class while it waits, its pool's running list while it
+// runs — so one pair of link fields serves every list, and unlinking
+// is O(1).
+type jobList struct {
+	head, tail *jobRT
+	n          int
+}
+
+// push appends rt at the tail.
+func (l *jobList) push(rt *jobRT) {
+	rt.prev, rt.next = l.tail, nil
+	if l.tail != nil {
+		l.tail.next = rt
+	} else {
+		l.head = rt
+	}
+	l.tail = rt
+	l.n++
+}
+
+// remove unlinks rt, which must be in the list.
+func (l *jobList) remove(rt *jobRT) {
+	if rt.prev != nil {
+		rt.prev.next = rt.next
+	} else {
+		l.head = rt.next
+	}
+	if rt.next != nil {
+		rt.next.prev = rt.prev
+	} else {
+		l.tail = rt.prev
+	}
+	rt.prev, rt.next = nil, nil
+	l.n--
+}
+
+// prioList is the list of one priority class.
+type prioList struct {
+	prio job.Priority
+	jobList
+}
+
+// byPrio holds one list per priority seen, highest priority first.
+// Classes stay once created (empty or not), so the layout is a pure
+// function of the operations applied, which keeps snapshots of equal
+// states byte-identical.
+type byPrio []prioList
+
+// list returns the class list for p, creating it in order if absent.
+// The pointer is valid until the next class insertion.
+func (b *byPrio) list(p job.Priority) *jobList {
+	i := 0
+	for i < len(*b) && (*b)[i].prio > p {
+		i++
+	}
+	if i == len(*b) || (*b)[i].prio != p {
+		*b = append(*b, prioList{})
+		copy((*b)[i+1:], (*b)[i:])
+		(*b)[i] = prioList{prio: p}
+	}
+	return &(*b)[i].jobList
+}
+
 // waitQueue is a physical pool's wait queue: strict priority order
-// between classes, FIFO within a class. Entries removed from the middle
-// (wait-timeout reschedules) are tombstoned and skipped lazily.
-//
-// A deliberate — and deliberately preserved — subtlety: slot liveness
-// is the job's queued flag, so a tombstoned slot revives if its job
-// re-enters a wait queue anywhere. A job that leaves this pool and is
-// enqueued again (the same pool after a restart, or another pool after
-// a reschedule) becomes visible to this pool's dispatcher again
-// through its old slots, keeping its former FIFO position — and a
-// dispatcher can thereby start a job that currently waits in a
-// different pool's queue. The optimistic engine reproduces this
-// behavior exactly; see the alias-risk machinery in shard.go.
+// between classes, FIFO within a class. A job waits in exactly one
+// pool's queue; removal unlinks it at once.
 type waitQueue struct {
-	// classes maps priority -> FIFO ring of entries. Tombstones (entries
-	// with queued=false) are compacted as the head advances.
-	classes map[job.Priority]*fifo
-	// prios caches the priorities present, highest first.
-	prios []job.Priority
-	// n counts live (non-tombstoned) entries.
-	n int
-	// onDrop, when set, observes every slot physically discarded by
-	// compaction (the optimistic engine's alias-risk accounting).
-	onDrop func(*jobRT)
+	classes byPrio
 }
 
 // fitScanLimit bounds how deep the dispatcher looks past the queue head
@@ -36,63 +82,39 @@ type waitQueue struct {
 // dispatch into a full queue scan.
 const fitScanLimit = 64
 
-func newWaitQueue() *waitQueue {
-	return &waitQueue{classes: make(map[job.Priority]*fifo)}
+func newWaitQueue() *waitQueue { return &waitQueue{} }
+
+// Len returns the number of queued jobs.
+func (w *waitQueue) Len() int {
+	n := 0
+	for i := range w.classes {
+		n += w.classes[i].n
+	}
+	return n
 }
 
-// Len returns the number of live entries.
-func (w *waitQueue) Len() int { return w.n }
-
-// push appends the entry to its priority class.
+// push appends the job to its priority class.
 func (w *waitQueue) push(rt *jobRT) {
-	prio := rt.j.Spec.Priority
-	f, ok := w.classes[prio]
-	if !ok {
-		f = &fifo{}
-		w.classes[prio] = f
-		w.insertPrio(prio)
-	}
+	w.classes.list(rt.j.Spec.Priority).push(rt)
 	rt.queued = true
-	f.push(rt)
-	w.n++
 }
 
-// insertPrio keeps prios sorted descending.
-func (w *waitQueue) insertPrio(p job.Priority) {
-	idx := len(w.prios)
-	for i, q := range w.prios {
-		if p > q {
-			idx = i
-			break
-		}
-	}
-	w.prios = append(w.prios, 0)
-	copy(w.prios[idx+1:], w.prios[idx:])
-	w.prios[idx] = p
-}
-
-// remove tombstones an entry (it keeps its slot until compaction).
+// remove unlinks a queued job; a job not queued is left alone.
 func (w *waitQueue) remove(rt *jobRT) {
 	if !rt.queued {
 		return
 	}
 	rt.queued = false
-	w.n--
+	w.classes.list(rt.j.Spec.Priority).remove(rt)
 }
 
-// peekFitting returns the highest-priority, oldest entry whose job fits
-// the machine, scanning at most fitScanLimit live entries per priority
-// class. It does not remove the entry.
+// peekFitting returns the highest-priority, oldest job that fits the
+// machine, scanning at most fitScanLimit jobs per priority class. It
+// does not remove the job.
 func (w *waitQueue) peekFitting(fits func(*jobRT) bool) *jobRT {
-	for _, prio := range w.prios {
-		f := w.classes[prio]
-		f.compact(w.onDrop)
+	for i := range w.classes {
 		scanned := 0
-		for i := f.head; i < len(f.items) && scanned < fitScanLimit; i++ {
-			rt := f.items[i]
-			if rt == nil || !rt.queued {
-				continue
-			}
+		for rt := w.classes[i].head; rt != nil && scanned < fitScanLimit; rt = rt.next {
 			scanned++
 			if fits(rt) {
 				return rt
@@ -102,50 +124,13 @@ func (w *waitQueue) peekFitting(fits func(*jobRT) bool) *jobRT {
 	return nil
 }
 
-// topPriority returns the priority of the oldest live entry of the
-// highest class, or 0 if the queue is empty.
+// topPriority returns the priority of the highest non-empty class, or
+// 0 if the queue is empty.
 func (w *waitQueue) topPriority() job.Priority {
-	for _, prio := range w.prios {
-		f := w.classes[prio]
-		f.compact(w.onDrop)
-		for i := f.head; i < len(f.items); i++ {
-			if rt := f.items[i]; rt != nil && rt.queued {
-				return prio
-			}
+	for i := range w.classes {
+		if w.classes[i].n > 0 {
+			return w.classes[i].prio
 		}
 	}
 	return 0
-}
-
-// fifo is a slice-backed FIFO with a moving head and periodic
-// compaction.
-type fifo struct {
-	items []*jobRT
-	head  int
-}
-
-func (f *fifo) push(rt *jobRT) { f.items = append(f.items, rt) }
-
-// compact advances head past tombstones and reclaims space once the
-// dead prefix dominates. Discarded slots are reported to onDrop.
-func (f *fifo) compact(onDrop func(*jobRT)) {
-	for f.head < len(f.items) {
-		rt := f.items[f.head]
-		if rt != nil && rt.queued {
-			break
-		}
-		if rt != nil && onDrop != nil {
-			onDrop(rt)
-		}
-		f.items[f.head] = nil
-		f.head++
-	}
-	if f.head > 64 && f.head*2 > len(f.items) {
-		n := copy(f.items, f.items[f.head:])
-		for i := n; i < len(f.items); i++ {
-			f.items[i] = nil
-		}
-		f.items = f.items[:n]
-		f.head = 0
-	}
 }

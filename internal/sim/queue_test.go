@@ -93,7 +93,7 @@ func TestWaitQueueTopPriority(t *testing.T) {
 	}
 }
 
-func TestWaitQueueCompaction(t *testing.T) {
+func TestWaitQueueRemoveUnlinksAtOnce(t *testing.T) {
 	q := newWaitQueue()
 	var all []*jobRT
 	for i := 0; i < 500; i++ {
@@ -101,21 +101,62 @@ func TestWaitQueueCompaction(t *testing.T) {
 		q.push(rt)
 		all = append(all, rt)
 	}
-	// Remove a large prefix to force head advancement and compaction.
+	// Remove a large prefix plus every other job of the rest: the class
+	// list must hold exactly the survivors, in FIFO order.
 	for _, rt := range all[:400] {
 		q.remove(rt)
+	}
+	for i := 401; i < 500; i += 2 {
+		q.remove(all[i])
 	}
 	anyFits := func(*jobRT) bool { return true }
 	if got := q.peekFitting(anyFits); got != all[400] {
 		t.Fatalf("peek = job %d, want 401", got.spec.ID)
 	}
-	f := q.classes[job.PriorityLow]
-	f.compact(q.onDrop)
-	if len(f.items)-f.head > 150 {
-		t.Fatalf("compaction ineffective: %d live slots for 100 entries", len(f.items)-f.head)
+	l := q.classes.list(job.PriorityLow)
+	want := 400
+	for rt := l.head; rt != nil; rt = rt.next {
+		if rt != all[want] {
+			t.Fatalf("list holds job %d, want %d", rt.spec.ID, all[want].spec.ID)
+		}
+		want += 2
 	}
-	if q.Len() != 100 {
-		t.Fatalf("Len = %d", q.Len())
+	if want != 500 || l.n != 50 || q.Len() != 50 {
+		t.Fatalf("list ended at %d with n=%d, Len=%d; want 500, 50, 50", want, l.n, q.Len())
+	}
+}
+
+// TestWaitQueueRequeueDoesNotRevive pins the one-queue invariant: a job
+// that leaves a queue and is queued again — in the same pool or in
+// another — is reachable only at its new position.
+func TestWaitQueueRequeueDoesNotRevive(t *testing.T) {
+	a, b := newWaitQueue(), newWaitQueue()
+	first := queuedRT(1, job.PriorityLow)
+	mover := queuedRT(2, job.PriorityLow)
+	last := queuedRT(3, job.PriorityLow)
+	a.push(first)
+	a.push(mover)
+	a.push(last)
+	a.remove(mover)
+	b.push(mover)
+	isMover := func(rt *jobRT) bool { return rt == mover }
+	if got := a.peekFitting(isMover); got != nil {
+		t.Fatal("queue A still reaches a job that moved to queue B")
+	}
+	if got := b.peekFitting(isMover); got != mover {
+		t.Fatal("queue B lost the moved job")
+	}
+	b.remove(mover)
+	a.push(mover)
+	anyFits := func(*jobRT) bool { return true }
+	var order []job.ID
+	for a.Len() > 0 {
+		rt := a.peekFitting(anyFits)
+		order = append(order, rt.spec.ID)
+		a.remove(rt)
+	}
+	if len(order) != 3 || order[0] != 1 || order[1] != 3 || order[2] != 2 {
+		t.Fatalf("requeued job kept its old FIFO position: order %v, want [1 3 2]", order)
 	}
 }
 

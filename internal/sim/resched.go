@@ -37,7 +37,7 @@ func (s *reschedSys) register(k *kernel) {
 func (sh *shard) handleSusDecide(idx int) error {
 	rt := &sh.w.jobs[idx]
 	if rt.j.State() != job.StateSuspended {
-		return nil // resumed or departed meanwhile
+		return nil // resumed, moved or killed meanwhile
 	}
 	// The deciding agent runs at the job's current site.
 	sh.view.observe(sh.siteOfPool(rt.j.Pool))
@@ -57,7 +57,6 @@ func (sh *shard) departSuspended(rt *jobRT, target int) error {
 	if !removeSuspended(mach, rt) {
 		return fmt.Errorf("job %d not found in machine %d suspended list", rt.spec.ID, mid)
 	}
-	sh.noteDetach(rt)
 	p.suspendedCnt--
 	sh.scopeSuspended--
 	if sh.w.cfg.SuspendHoldsMemory {
@@ -109,7 +108,7 @@ func (sh *shard) handleWaitTimeout(idx int) error {
 	sh.view.observe(sh.siteOfPool(rt.j.Pool))
 	target, move := sh.w.cfg.Policy.OnWaitTimeout(sh.k.now, rt.j, sh.view)
 	if !move || target == rt.j.Pool {
-		rt.waitTO = sh.kernelAt(sh.siteOfPool(rt.j.Pool)).schedule(sh.k.now+th, sh.dyn.waitTimeout, int64(rt.idx), 0)
+		rt.waitTO = sh.k.schedule(sh.k.now+th, sh.dyn.waitTimeout, int64(rt.idx), 0)
 		return nil
 	}
 	p := sh.w.pools[rt.j.Pool]

@@ -24,8 +24,6 @@ func runSerial(w *world, sn *snapshot) (*Result, error) {
 	}
 	res := sh.res
 	res.Events = sh.k.events
-	res.AliasRetirements = w.aliasRetired
-	w.met.aliasRet.Add(w.aliasRetired)
 	if err := finalizeJobs(w, &res); err != nil {
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"netbatch/internal/cluster"
 	"netbatch/internal/job"
@@ -61,36 +60,6 @@ type world struct {
 	// element is owned by the site's shard.
 	machBySite [][]int
 	faults     []siteFaults
-
-	// aliasLive counts jobs currently attached to a machine at a site
-	// other than their queue-pool label's site (jobRT.aliased): the
-	// products of cross-site alias dispatches — a revived wait-queue
-	// slot handing a shard a job whose current queue pool is at another
-	// site, or a preemption chaining off one. While such a job exists,
-	// its victim-scan visibility, pending events, and onFree cascades
-	// belong to a different partition than its machine state, and any
-	// capacity-handoff event anywhere may reach across a partition
-	// boundary (e.g. a label-matched victim preemption on a remote
-	// machine, or a fault kill canceling a finish event that lives in
-	// the remote labeling shard's kernel). While aliasLive > 0 every
-	// shard's handoff events are promoted to globally-serialized
-	// deciding events, which reproduces the serial order exactly. The
-	// risk retires with its cause: when the last aliased job detaches
-	// from its machine (completion, departure, or kill), handoffs
-	// demote back to shard-local — unlike the run-wide sticky flag this
-	// replaces, one early alias dispatch no longer serializes the rest
-	// of the run. Every mutation happens inside a dispatch that is
-	// itself globally serialized (see noteAttach for why an alias can
-	// never be created speculatively), so the optimistic engine reads a
-	// stable value between commits and never has to roll the counter
-	// back.
-	aliasLive int
-
-	// aliasRetired counts this run's alias-flag clears for
-	// Result.AliasRetirements. Safe as a plain int for the same reason
-	// aliasLive is: every mutation happens inside a globally-serialized
-	// dispatch.
-	aliasRetired int64
 
 	// met holds the run's pre-resolved observability handles; the zero
 	// value (Config.Metrics nil) makes every record site a nil check.
@@ -168,9 +137,12 @@ func buildWorld(cfg Config, specs []job.Spec) (*world, error) {
 			w.faults[s].rng = root.SplitKey(uint64(s))
 			if cfg.Faults.MaintPeriod > 0 {
 				// Stagger first windows across sites: offsets of
-				// (s+1)/(nSites+1) of a period can never coincide across
-				// sites, so windows never produce cross-shard timestamp
-				// ties.
+				// (s+1)/(nSites+1) of a period never coincide across
+				// sites. They can still fall on a peer's event grid
+				// (sample-tick view refreshes, wait timers), so window
+				// events may tie with other shards' events; the
+				// optimistic engine orders such ties by creation phase
+				// (see optCoord.commit).
 				w.faults[s].maintNext = w.start +
 					cfg.Faults.MaintPeriod*float64(s+1)/float64(w.nSites+1)
 			}
@@ -254,29 +226,6 @@ type shard struct {
 	view *poolView
 	acct *accounting
 
-	// Alias-risk tracking (optimistic shards only; see the waitQueue
-	// comment for the revival semantics being preserved). A dispatcher
-	// scan of this shard's wait queues touches only shard-resident jobs
-	// — and is therefore safe to run concurrently with other shards —
-	// unless some job that departed this site still has un-compacted
-	// slots in a local FIFO: such a slot can revive while its job
-	// waits at a remote site, and scanning (or dispatching!) it reads
-	// and writes remote-shard state. aliasRisk counts those jobs; while
-	// it is non-zero, the shard's capacity-handoff events (finish,
-	// arrival) are promoted to globally-serialized deciding events and
-	// fence-published, which reproduces the serial engine's ordering
-	// for cross-site alias interactions exactly. All three arrays are
-	// read and written only by this shard.
-	away        []bool  // job departed this site and has not returned
-	slotCount   []int32 // this shard's un-compacted FIFO slots per job
-	riskCounted []bool  // job currently counted in aliasRisk
-	aliasRisk   int
-
-	// peers maps site -> shard in optimistic runs (nil otherwise); used
-	// only under global quiescence, to tell a queue's owning shard that
-	// an alias dispatch took its job.
-	peers []*shard
-
 	res Result
 
 	// par holds the partitioned-run bookkeeping (outboxes, event logs);
@@ -345,25 +294,6 @@ func newShard(w *world, index int, sites []int, parallel bool) *shard {
 	for _, sys := range systems {
 		sys.register(sh.k)
 	}
-	if parallel {
-		sh.away = make([]bool, len(w.jobs))
-		sh.slotCount = make([]int32, len(w.jobs))
-		sh.riskCounted = make([]bool, len(w.jobs))
-		for _, p := range w.plat.Site(sites[0]).Pools {
-			w.pools[p].waitQ.onDrop = func(rt *jobRT) {
-				sh.slotCount[rt.idx]--
-				sh.recountRisk(rt.idx)
-			}
-			// A job away from this site cannot be running in one of its
-			// pools while no alias is live: a running job sits at its
-			// label's site. With an alias live every scan is globally
-			// serialized, reading the record is safe, and an aliased
-			// job may be a legitimate victim, so the record decides.
-			w.pools[p].departed = func(rt *jobRT) bool {
-				return w.aliasLive == 0 && sh.away[rt.idx]
-			}
-		}
-	}
 	return sh
 }
 
@@ -371,8 +301,7 @@ func newShard(w *world, index int, sites []int, parallel bool) *shard {
 // clock and counters, the submission-chain cursor, the scope counters,
 // the shard's slice of the Result counters, the pending future event
 // list (exact tie ranks included — see saveQueue/restoreQueue), and the
-// optimistic engine's per-shard bookkeeping (departure bitmap, message
-// sequence, cross-site busy-shift ledger), which its rollback snapshots
+// optimistic engine's message sequence, which its rollback snapshots
 // restore.
 func (sh *shard) registerCoreState() {
 	sh.k.registerState("core", func(e *snapEncoder) {
@@ -395,15 +324,7 @@ func (sh *shard) registerCoreState() {
 		e.I64(sh.res.Requeues)
 		sh.saveQueue(e)
 		if sh.par != nil {
-			e.Bools(sh.away)
 			e.U64(sh.par.msgSeq)
-			e.Int(len(sh.par.busyShifts))
-			for _, bs := range sh.par.busyShifts {
-				e.F64(bs.t)
-				e.Int(bs.exec)
-				e.Int(bs.site)
-				e.Int(int(bs.delta))
-			}
 		}
 	}, func(d *snapDecoder) error {
 		k := sh.k
@@ -427,153 +348,10 @@ func (sh *shard) registerCoreState() {
 			return err
 		}
 		if sh.par != nil {
-			away := d.BoolsN(len(sh.w.jobs))
-			if d.err == nil && len(away) != len(sh.away) {
-				d.fail()
-				return d.err
-			}
-			copy(sh.away, away)
 			sh.par.msgSeq = d.U64()
-			n := d.Int()
-			if d.err != nil || n < 0 {
-				d.fail()
-				return d.err
-			}
-			sh.par.busyShifts = make([]busyShift, n)
-			for i := range sh.par.busyShifts {
-				sh.par.busyShifts[i] = busyShift{
-					t: d.F64(), exec: d.Int(), site: d.Int(), delta: int32(d.Int()),
-				}
-			}
 		}
-		return nil
+		return d.err
 	})
-}
-
-// recountRisk re-evaluates whether job idx contributes to aliasRisk:
-// it does while it is away from this site with slots still present in
-// a local FIFO.
-func (sh *shard) recountRisk(idx int) {
-	c := sh.away[idx] && sh.slotCount[idx] > 0
-	if c == sh.riskCounted[idx] {
-		return
-	}
-	sh.riskCounted[idx] = c
-	if c {
-		sh.aliasRisk++
-	} else {
-		sh.aliasRisk--
-	}
-}
-
-// noteSlotPush records a new local FIFO slot for job idx.
-func (sh *shard) noteSlotPush(idx int) {
-	if sh.slotCount == nil {
-		return
-	}
-	sh.slotCount[idx]++
-	sh.recountRisk(idx)
-}
-
-// noteResident marks job idx as present at this site again (it
-// arrived, or a revived local slot just dispatched it here).
-func (sh *shard) noteResident(idx int) {
-	if sh.away == nil || !sh.away[idx] {
-		return
-	}
-	sh.away[idx] = false
-	sh.recountRisk(idx)
-}
-
-// noteAway marks job idx as departed to another site.
-func (sh *shard) noteAway(idx int) {
-	if sh.away == nil || sh.away[idx] {
-		return
-	}
-	sh.away[idx] = true
-	sh.recountRisk(idx)
-}
-
-// aliasRetirements counts alias-flag clears (noteDetach on an aliased
-// job) across every run in the process. Tests assert the retirement
-// path genuinely engages — that handoffs demote back to local after
-// the last aliased job detaches — through deltas of this counter.
-var aliasRetirements atomic.Int64
-
-// noteAttach records a job's machine attachment for the alias-risk
-// ledger: the job is aliased iff the machine's site differs from the
-// job's queue-pool label's site. Called from startOn, the single point
-// where a job acquires a machine with a possibly-foreign label (resume
-// re-attaches to the same machine with the same label and cannot
-// change the flag).
-//
-// An alias can never be created speculatively: a revived slot handing
-// out a departed job requires the slot shard's own aliasRisk > 0, and
-// a preemption reaching a remote machine requires an already-aliased
-// victim (findVictim matches on the label pool, so a cross-site match
-// implies the victim's label and machine sites differ),
-// i.e. aliasLive > 0 — both of which promote the dispatching handoff
-// to a globally-serialized deciding event first. Speculative bursts
-// therefore only ever attach label-local jobs, and rollback never
-// needs to undo the ledger.
-func (sh *shard) noteAttach(rt *jobRT, machPool int) {
-	if rt.aliased {
-		// Already aliased and re-attaching (kill-and-requeue lands on
-		// the machine pool, clearing first): unreachable today, but keep
-		// the counter exact if a future path re-attaches without detach.
-		return
-	}
-	if label, site := sh.w.siteOf[rt.j.Pool], sh.w.siteOf[machPool]; label != site {
-		rt.aliased = true
-		sh.w.aliasLive++
-		if sh.peers != nil {
-			// The job now lives at the machine's site. Once the alias
-			// retires, that site's shard keeps custody (a kill there
-			// requeues it there), so the label shard must count it
-			// away: otherwise its stale slots and stack entries would
-			// put another shard's job record in its rollback snapshots.
-			sh.peers[label].noteAway(rt.idx)
-			sh.peers[site].noteResident(rt.idx)
-		}
-	}
-}
-
-// noteDetach retires a job's alias flag when it leaves its machine
-// (completion, suspended departure, or fault kill). Once the last live
-// flag clears, every running or suspended job's label site matches its
-// machine site again, so no victim scan, pending event, or onFree
-// cascade can cross a site boundary — capacity handoffs demote
-// back to shard-local dispatch until the next alias dispatch.
-func (sh *shard) noteDetach(rt *jobRT) {
-	if !rt.aliased {
-		return
-	}
-	rt.aliased = false
-	sh.w.aliasLive--
-	sh.w.aliasRetired++
-	aliasRetirements.Add(1)
-}
-
-// rebuildAliasLive recomputes the alias-risk ledger from restored job
-// and machine state: a job is aliased iff it is attached to a machine
-// (running or suspended-on-machine) whose pool's site differs from the
-// job's label pool's site. Snapshots do not persist the ledger — it is
-// a pure function of the state they do persist — so checkpoint restore
-// calls this after every codec has loaded.
-func rebuildAliasLive(w *world) {
-	w.aliasLive = 0
-	for i := range w.jobs {
-		rt := &w.jobs[i]
-		rt.aliased = false
-		st := rt.j.State()
-		if st != job.StateRunning && st != job.StateSuspended {
-			continue
-		}
-		if w.siteOf[rt.j.Pool] != w.siteOf[w.machines[rt.j.Machine].m.Pool] {
-			rt.aliased = true
-			w.aliasLive++
-		}
-	}
 }
 
 // seed schedules the shard's initial events: its first local
@@ -641,21 +419,14 @@ func (sh *shard) decideFence() float64 {
 
 // publishedFence is what the shard advertises to its peers: the
 // earliest timestamp at which it may execute an event that reads or
-// writes another shard's state. Three sources bound it: pending (and
-// future chained-submission) deciding events; while alias risk is
-// live — locally, or anywhere via a machine-attached aliased job —
-// pending capacity handoffs (they are then serialized too); and — crucially —
+// writes another shard's state. Two sources bound it: pending (and
+// future chained-submission) deciding events, and — crucially —
 // decisions that do not exist yet: processing any pending event at
 // time u can arm a suspension decision or wait timeout no earlier
 // than u + minDyn, so the fence can never exceed the next event's
 // time plus that offset.
 func (sh *shard) publishedFence() float64 {
 	f := sh.decideFence()
-	if sh.aliasRisk > 0 || sh.w.aliasLive > 0 {
-		if t := sh.k.nextHandoff(); t < f {
-			f = t
-		}
-	}
 	if t, ok := sh.k.q.NextTime(); ok && t+sh.w.minDyn < f {
 		f = t + sh.w.minDyn
 	}
@@ -667,15 +438,10 @@ func (sh *shard) publishedFence() float64 {
 // into the destination's outbox buffer for batched delivery when the
 // sending decision commits. Cross-site events always carry at least
 // the inter-site RTT of delay, which is what the lookahead relies on.
-// A job routed away (an arrive event crossing shards) is marked
-// departed for the alias-risk accounting.
 func (sh *shard) send(dest int, t float64, kd kind, a, b int64) {
 	if sh.par == nil || dest == sh.index {
 		sh.k.schedule(t, kd, a, b)
 		return
-	}
-	if kd == sh.place.arrive {
-		sh.noteAway(int(a))
 	}
 	sh.par.msgSeq++
 	sh.par.outbox[dest] = append(sh.par.outbox[dest], outMsg{
@@ -685,45 +451,16 @@ func (sh *shard) send(dest int, t float64, kd kind, a, b int64) {
 	sh.par.outboxN++
 }
 
-// kernelAt returns the kernel that holds pending events about jobs and
-// machines at site: this shard's own, except when an optimistic shard
-// places or parks a job at another site. That happens only inside a
-// globally serialized dispatch (an alias cascade, see noteAttach), so
-// the peer is quiescent and takes the event with the creating
-// decision's tie-rank phase. Filing the event with the site's shard
-// keeps a job's finish, wait timer and suspension decision in the
-// kernel of the shard that owns the job once the alias retires; left
-// in the creator's kernel, they would later run there, or be canceled
-// from the owner, while both shards speculate.
-func (sh *shard) kernelAt(site int) *kernel {
-	if sh.peers == nil || site == sh.index {
-		return sh.k
-	}
-	peer := sh.peers[site].k
-	peer.phase = sh.k.phase
-	return peer
-}
-
 // siteOfPool is a convenience accessor.
 func (sh *shard) siteOfPool(pool int) int { return sh.w.siteOf[pool] }
 
 // addBusy applies a busy-core change for a machine of the given pool:
 // the executing shard's scope counter (what its raw sample log reads)
 // and the machine site's counter (what the serial site series read).
-// When a globally-serialized event mutates a machine at another site —
-// possible only after a cross-site alias dispatch — the shift is also
-// logged so the optimistic merge can re-attribute the executing
-// shard's samples to the machine's site, keeping per-site series
-// bit-identical to the serial engine's.
+// The machine is always in the executing shard's scope.
 func (sh *shard) addBusy(pool, delta int) {
-	site := sh.w.siteOf[pool]
 	sh.scopeBusy += delta
-	sh.w.siteBusy[site] += delta
-	if sh.par != nil && site != sh.sites[0] {
-		sh.par.busyShifts = append(sh.par.busyShifts, busyShift{
-			t: sh.k.now, exec: sh.sites[0], site: site, delta: int32(delta),
-		})
-	}
+	sh.w.siteBusy[sh.w.siteOf[pool]] += delta
 }
 
 // finalize assembles the common parts of a Result from the world's job

@@ -160,7 +160,7 @@ type Config struct {
 	CheckpointKeyframe int
 	// Metrics, when non-nil, receives engine execution counters —
 	// events dispatched, bursts, speculative snapshots, rollbacks,
-	// group-commit sizes, alias retirements, checkpoint captures, and
+	// group-commit sizes, checkpoint captures, and
 	// event-queue depth/tombstone high-water marks (see internal/obs
 	// for names).
 	// Handles are resolved once per run; with Metrics nil every record
@@ -318,14 +318,6 @@ type Result struct {
 	// DownCoreMinutes is the capacity lost to downtime: the integral
 	// of down cores over the run, in core-minutes.
 	DownCoreMinutes float64
-
-	// AliasRetirements counts alias-flag clears (the last cross-site
-	// job detaching from its machine, demoting capacity handoffs back to
-	// shard-local dispatch; see shard.noteDetach). It describes the
-	// execution, not the simulated system: a resumed run counts only its
-	// tail. Excluded from bit-identity comparisons and not persisted in
-	// snapshots.
-	AliasRetirements int64
 
 	// Rollbacks counts optimistic-engine rollbacks: speculative bursts
 	// unwound because a committed decision landed below the shard's
